@@ -123,6 +123,7 @@ SWAP_PUBLISHED_FIELDS = frozenset(
         "repro.core.recommender.PureCFRecommender._product_matrix",
         "repro.perf.matrix.ProfileMatrix._dense_sq",
         "repro.perf.matrix.ProfileMatrix._topic_rows",
+        "repro.trust.graph.TrustGraph._packed",
     }
 )
 

@@ -277,8 +277,8 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
         backing=(
             f"{_DATASET}.agents",
             f"{_DATASET}.products",
-            f"{_DATASET}.ratings",
-            f"{_DATASET}.trust",
+            f"{_DATASET}._ratings",
+            f"{_DATASET}._trust",
         ),
         caches=(
             (_PROFILE_STORE, ("_cache", "_matrix")),
@@ -291,11 +291,35 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
         ),
     ),
     CacheSpec(
+        name="dataset-rating-index",
+        backing=(f"{_DATASET}._ratings",),
+        caches=((_DATASET, ("_ratings_by_agent", "_raters_by_product")),),
+        invalidate_hint=(
+            "maintain both indexes in the same mutator, as add_rating/remove_rating do"
+        ),
+    ),
+    CacheSpec(
+        name="dataset-trust-index",
+        backing=(f"{_DATASET}._trust",),
+        caches=((_DATASET, ("_trust_by_source",)),),
+        invalidate_hint=(
+            "maintain _trust_by_source in the same mutator, as add_trust/remove_trust do"
+        ),
+    ),
+    CacheSpec(
         name="trust-successor-cache",
         backing=(f"{_TRUST_GRAPH}._succ", f"{_TRUST_GRAPH}._pred"),
         caches=((_TRUST_GRAPH, ("_pos_succ",)),),
         invalidate_hint=(
             "maintain _pos_succ in the same mutator, as add_edge/remove_edge do"
+        ),
+    ),
+    CacheSpec(
+        name="trust-packed-matrix",
+        backing=(f"{_TRUST_GRAPH}._succ", f"{_TRUST_GRAPH}._pred"),
+        caches=((_TRUST_GRAPH, ("_packed",)),),
+        invalidate_hint=(
+            "drop _packed in the same mutator, as add_edge/remove_edge do"
         ),
     ),
     CacheSpec(

@@ -549,7 +549,17 @@ class WallClockDurationRule(Rule):
 
 
 #: Dataset methods that mutate in place, and the dict fields behind them.
-_DATASET_MUTATORS = frozenset({"add_agent", "add_product", "add_trust", "add_rating"})
+_DATASET_MUTATORS = frozenset(
+    {
+        "add_agent",
+        "add_product",
+        "add_trust",
+        "add_rating",
+        "remove_agent",
+        "remove_trust",
+        "remove_rating",
+    }
+)
 _DATASET_FIELDS = frozenset({"agents", "products", "trust", "ratings"})
 _DICT_MUTATORS = frozenset({"pop", "popitem", "update", "clear", "setdefault"})
 
@@ -568,11 +578,11 @@ class SharedDatasetMutationRule(Rule):
     (the ``community`` fixture, ``default_community()`` reuse), so a
     ``run_ex*`` / ``inject_*`` function writing through its dataset
     parameter silently corrupts every later experiment run on the same
-    object.  Flagged mutations: ``dataset.add_agent(...)``-style calls,
-    assignment / deletion / dict-mutator calls on
-    ``dataset.agents|products|trust|ratings``.  A parameter the function
-    rebinds (``dataset = copy_dataset(dataset)``) is treated as a local
-    copy and exempt.
+    object.  Flagged mutations: ``dataset.add_agent(...)`` and
+    ``dataset.remove_rating(...)``-style calls, assignment / deletion /
+    dict-mutator calls on ``dataset.agents|products|trust|ratings``.  A
+    parameter the function rebinds (``dataset = dataset.copy()``) is
+    treated as a local copy and exempt.
     """
 
     code = "RL008"
@@ -680,7 +690,7 @@ class SharedDatasetMutationRule(Rule):
                     context,
                     f"{func.name}() mutates shared dataset parameter via "
                     f"{what}; operate on a copy "
-                    "(repro.evaluation.dynamics.copy_dataset)",
+                    "(Dataset.copy())",
                 )
 
 

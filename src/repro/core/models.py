@@ -13,6 +13,13 @@ This module provides typed containers for the first four plus a
 :class:`Dataset` aggregate that owns the whole community.  Partiality is
 modelled by absence from a mapping rather than a sentinel value: where the
 paper writes ``t_i(a_j) = ⊥`` we simply have no entry.
+
+:class:`Dataset` keeps the partial functions indexed: ratings per agent,
+trust statements per source and raters per product.  Reading one agent's
+``r_i`` or ``t_i`` therefore costs its own size, not the community's — the
+per-principal locality §3.2 relies on.  ``Dataset.ratings`` and
+``Dataset.trust`` are read-only views, so every write goes through the
+``add_*``/``remove_*`` methods that keep the index coherent.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 __all__ = [
@@ -159,6 +167,13 @@ class Dataset:
     separately (see :class:`repro.core.taxonomy.Taxonomy`); descriptors are
     denormalized onto each :class:`Product` for locality.
 
+    ``trust`` and ``ratings`` are read-only views keyed by
+    ``(source, target)`` and ``(agent, product)``; the constructor copies
+    the maps it is given.  :meth:`ratings_of`, :meth:`trust_of` and
+    :meth:`raters_of` copy one row of the index (see the module
+    docstring).  A row keeps the order its keys have in the full map, so
+    its values sum in the order a scan of the map would visit them.
+
     Invariants enforced by :meth:`validate`:
 
     * every trust statement references known agents,
@@ -169,8 +184,35 @@ class Dataset:
 
     agents: dict[str, Agent] = field(default_factory=dict)
     products: dict[str, Product] = field(default_factory=dict)
-    trust: dict[tuple[str, str], TrustStatement] = field(default_factory=dict)
-    ratings: dict[tuple[str, str], Rating] = field(default_factory=dict)
+    trust: Mapping[tuple[str, str], TrustStatement] = field(default_factory=dict)
+    ratings: Mapping[tuple[str, str], Rating] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        statements, ratings = self.trust.values(), self.ratings.values()
+        self._trust: dict[tuple[str, str], TrustStatement] = {}
+        self._ratings: dict[tuple[str, str], Rating] = {}
+        self._trust_by_source: dict[str, dict[str, float]] = {}
+        self._ratings_by_agent: dict[str, dict[str, float]] = {}
+        self._raters_by_product: dict[str, dict[str, float]] = {}
+        self._publish_views()
+        for statement in statements:
+            self.add_trust(statement)
+        for rating in ratings:
+            self.add_rating(rating)
+
+    def _publish_views(self) -> None:
+        self.trust = MappingProxyType(self._trust)
+        self.ratings = MappingProxyType(self._ratings)
+
+    # The views do not pickle; the dicts behind them do.
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        del state["trust"], state["ratings"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._publish_views()
 
     # -- construction -----------------------------------------------------
 
@@ -192,54 +234,86 @@ class Dataset:
 
     def add_trust(self, statement: TrustStatement) -> None:
         """Record ``t_source(target)``; a later statement overwrites."""
-        self.trust[(statement.source, statement.target)] = statement
+        source, target = statement.source, statement.target
+        self._trust[(source, target)] = statement
+        self._trust_by_source.setdefault(source, {})[target] = statement.value
 
     def add_rating(self, rating: Rating) -> None:
         """Record ``r_agent(product)``; a later rating overwrites."""
-        self.ratings[(rating.agent, rating.product)] = rating
+        agent, product, value = rating.agent, rating.product, rating.value
+        self._ratings[(agent, product)] = rating
+        self._ratings_by_agent.setdefault(agent, {})[product] = value
+        self._raters_by_product.setdefault(product, {})[agent] = value
+
+    def remove_trust(self, source: str, target: str) -> TrustStatement:
+        """Retract ``t_source(target)``; a missing statement raises :class:`KeyError`."""
+        statement = self._trust.pop((source, target))
+        del self._trust_by_source[source][target]
+        return statement
+
+    def remove_rating(self, agent: str, product: str) -> Rating:
+        """Retract ``r_agent(product)``; a missing rating raises :class:`KeyError`."""
+        rating = self._ratings.pop((agent, product))
+        del self._ratings_by_agent[agent][product]
+        del self._raters_by_product[product][agent]
+        return rating
+
+    def remove_agent(self, uri: str) -> Agent:
+        """Tear *uri* out of the community with its ratings and the trust
+        statements on both sides; an unknown agent raises :class:`KeyError`."""
+        agent = self.agents.pop(uri)
+        for source, target in [key for key in self._trust if uri in key]:
+            self.remove_trust(source, target)
+        for product in list(self._ratings_by_agent.get(uri, _NO_ENTRY)):
+            self.remove_rating(uri, product)
+        self._trust_by_source.pop(uri, None)
+        self._ratings_by_agent.pop(uri, None)
+        return agent
+
+    def copy(self) -> "Dataset":
+        """An independent copy; the immutable entries are shared and the
+        index is copied rather than rebuilt."""
+        clone = Dataset(agents=dict(self.agents), products=dict(self.products))
+        clone._trust.update(self._trust)
+        clone._ratings.update(self._ratings)
+        for mine, theirs in (
+            (self._trust_by_source, clone._trust_by_source),
+            (self._ratings_by_agent, clone._ratings_by_agent),
+            (self._raters_by_product, clone._raters_by_product),
+        ):
+            theirs.update((key, dict(entry)) for key, entry in mine.items())
+        return clone
 
     # -- partial-function views -------------------------------------------
 
     def trust_of(self, source: str) -> dict[str, float]:
         """Materialize the partial trust function ``t_source`` as a dict."""
-        return {
-            target: stmt.value
-            for (src, target), stmt in self.trust.items()
-            if src == source
-        }
+        return dict(self._trust_by_source.get(source, _NO_ENTRY))
 
     def ratings_of(self, agent: str) -> dict[str, float]:
         """Materialize the partial rating function ``r_agent`` as a dict."""
-        return {
-            product: rating.value
-            for (a, product), rating in self.ratings.items()
-            if a == agent
-        }
+        return dict(self._ratings_by_agent.get(agent, _NO_ENTRY))
 
     def raters_of(self, product: str) -> dict[str, float]:
         """Inverse view: every agent's rating of *product*."""
-        return {
-            a: rating.value
-            for (a, p), rating in self.ratings.items()
-            if p == product
-        }
+        return dict(self._raters_by_product.get(product, _NO_ENTRY))
 
     def iter_trust(self) -> Iterator[TrustStatement]:
-        return iter(self.trust.values())
+        return iter(self._trust.values())
 
     def iter_ratings(self) -> Iterator[Rating]:
-        return iter(self.ratings.values())
+        return iter(self._ratings.values())
 
     # -- integrity ---------------------------------------------------------
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on the first dangling reference."""
-        for statement in self.trust.values():
+        for statement in self._trust.values():
             if statement.source not in self.agents:
                 raise ValueError(f"trust from unknown agent {statement.source}")
             if statement.target not in self.agents:
                 raise ValueError(f"trust toward unknown agent {statement.target}")
-        for rating in self.ratings.values():
+        for rating in self._ratings.values():
             if rating.agent not in self.agents:
                 raise ValueError(f"rating by unknown agent {rating.agent}")
             if rating.product not in self.products:
@@ -254,15 +328,15 @@ class Dataset:
         return {
             "agents": n_agents,
             "products": n_products,
-            "trust_statements": len(self.trust),
-            "ratings": len(self.ratings),
+            "trust_statements": len(self._trust),
+            "ratings": len(self._ratings),
             "trust_density": (
-                len(self.trust) / (n_agents * (n_agents - 1))
+                len(self._trust) / (n_agents * (n_agents - 1))
                 if n_agents > 1
                 else 0.0
             ),
             "rating_density": (
-                len(self.ratings) / (n_agents * n_products)
+                len(self._ratings) / (n_agents * n_products)
                 if n_agents and n_products
                 else 0.0
             ),
@@ -277,17 +351,24 @@ class Dataset:
         trust statements and ratings are filtered to the kept agents.
         """
         kept = set(keep)
-        subset = Dataset(
+        return Dataset(
             agents={uri: a for uri, a in self.agents.items() if uri in kept},
             products=dict(self.products),
+            trust={
+                key: statement
+                for key, statement in self._trust.items()
+                if statement.source in kept and statement.target in kept
+            },
+            ratings={
+                key: rating
+                for key, rating in self._ratings.items()
+                if rating.agent in kept
+            },
         )
-        for key, statement in self.trust.items():
-            if statement.source in kept and statement.target in kept:
-                subset.trust[key] = statement
-        for key, rating in self.ratings.items():
-            if rating.agent in kept:
-                subset.ratings[key] = rating
-        return subset
+
+
+#: What an index lookup falls back to for an agent or product with no entry.
+_NO_ENTRY: Mapping[str, float] = MappingProxyType({})
 
 
 def descriptor_index(products: Mapping[str, Product]) -> dict[str, set[str]]:

@@ -17,7 +17,6 @@ from .dynamics import (
     SybilRingGrowth,
     Timeline,
     TrustSpamCampaign,
-    copy_dataset,
 )
 from .metrics import (
     catalog_coverage,
@@ -76,7 +75,6 @@ __all__ = [
     "catalog_coverage",
     "compare_epoch_series",
     "compare_recommenders",
-    "copy_dataset",
     "evaluate_recommender",
     "f1_score",
     "hit_rate",

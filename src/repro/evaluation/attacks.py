@@ -56,15 +56,6 @@ class ProfileCopyAttack:
     victim: str
 
 
-def _copy_dataset(dataset: Dataset) -> Dataset:
-    return Dataset(
-        agents=dict(dataset.agents),
-        products=dict(dataset.products),
-        trust=dict(dataset.trust),
-        ratings=dict(dataset.ratings),
-    )
-
-
 def _sybil_uri(index: int, wave: int) -> str:
     """URI for the *index*-th sybil of injection *wave*.
 
@@ -132,7 +123,7 @@ def inject_sybil_region(
     if wave < 0:
         raise ValueError("wave must be non-negative")
     rng = random.Random(seed)
-    attacked = _copy_dataset(dataset)
+    attacked = dataset.copy()
     honest = sorted(dataset.agents)
     sybils = _mint_sybils(attacked, n_sybils, wave=wave)
     _wire_region(attacked, sybils, rng, min(internal_degree, n_sybils - 1))
@@ -175,7 +166,7 @@ def inject_profile_copy_attack(
     if wave < 0:
         raise ValueError("wave must be non-negative")
     rng = random.Random(seed)
-    attacked = _copy_dataset(dataset)
+    attacked = dataset.copy()
     sybils = _mint_sybils(attacked, n_sybils, wave=wave)
     _wire_region(attacked, sybils, rng, min(5, n_sybils - 1))
 

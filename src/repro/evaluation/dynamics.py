@@ -56,7 +56,6 @@ __all__ = [
     "SybilRingGrowth",
     "Timeline",
     "TrustSpamCampaign",
-    "copy_dataset",
 ]
 
 #: URI namespaces for minted identities; epoch-qualified so repeated
@@ -68,16 +67,6 @@ NEWCOMER_PREFIX = "http://agents.example.org/cold-"
 #: Minimum honest population a churn event must leave behind — below
 #: this the evaluation protocol has nothing left to split.
 MIN_POPULATION = 10
-
-
-def copy_dataset(dataset: Dataset) -> Dataset:
-    """An independent shallow copy (entries are immutable dataclasses)."""
-    return Dataset(
-        agents=dict(dataset.agents),
-        products=dict(dataset.products),
-        trust=dict(dataset.trust),
-        ratings=dict(dataset.ratings),
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,13 +143,7 @@ class EpochState:
 
     def remove_agent(self, uri: str) -> None:
         """Tear *uri* out of the community: edges on both sides go too."""
-        del self.dataset.agents[uri]
-        for key in [
-            k for k in self.dataset.trust if k[0] == uri or k[1] == uri
-        ]:
-            del self.dataset.trust[key]
-        for key in [k for k in self.dataset.ratings if k[0] == uri]:
-            del self.dataset.ratings[key]
+        self.dataset.remove_agent(uri)
         self.membership.pop(uri, None)
         self.compromised.discard(uri)
         self.departed.add(uri)
@@ -522,7 +505,7 @@ class Timeline:
         tracer = get_tracer()
         metrics = get_metrics()
         state = EpochState(
-            dataset=copy_dataset(self.community.dataset),
+            dataset=self.community.dataset.copy(),
             community=self.community,
             membership=dict(self.community.membership),
         )
@@ -553,7 +536,7 @@ class Timeline:
             snapshots.append(
                 EpochSnapshot(
                     epoch=epoch,
-                    dataset=copy_dataset(state.dataset),
+                    dataset=state.dataset.copy(),
                     truth=state.truth(),
                 )
             )

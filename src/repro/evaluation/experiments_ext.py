@@ -86,19 +86,14 @@ def _withhold_values(
     )
     rng.shuffle(qualifying)
     qualifying = qualifying[:max_users]
-    train = Dataset(
-        agents=dict(dataset.agents),
-        products=dict(dataset.products),
-        trust=dict(dataset.trust),
-        ratings=dict(dataset.ratings),
-    )
+    train = dataset.copy()
     held: dict[str, dict[str, float]] = {}
     for agent in qualifying:
         items = sorted(by_agent[agent])
         rng.shuffle(items)
         held[agent] = {}
         for product in items[:per_user]:
-            held[agent][product] = train.ratings.pop((agent, product)).value
+            held[agent][product] = train.remove_rating(agent, product).value
     return train, held
 
 
@@ -449,12 +444,7 @@ def run_ex17_distrust(
 
     community = community or default_community()
     rng = random_module.Random(seed)
-    dataset = Dataset(
-        agents=dict(community.dataset.agents),
-        products=dict(community.dataset.products),
-        trust=dict(community.dataset.trust),
-        ratings=dict(community.dataset.ratings),
-    )
+    dataset = community.dataset.copy()
     honest = sorted(community.dataset.agents)
 
     rogues = [f"http://rogue.example.org/r{i:03d}" for i in range(n_rogues)]
@@ -523,9 +513,9 @@ def run_ex15_weblog_mining(
     publish_weblogs(web, dataset)
 
     # Mine every weblog back into a fresh dataset.
-    mined = Dataset(agents=dict(dataset.agents), products=dict(dataset.products))
-    for key, statement in dataset.trust.items():
-        mined.trust[key] = statement
+    mined = Dataset(
+        agents=dict(dataset.agents), products=dict(dataset.products), trust=dataset.trust
+    )
     miner = LinkMiner(known_products=frozenset(dataset.products))
     exact = 0
     for agent_uri in dataset.agents:

@@ -78,19 +78,14 @@ def holdout_split(
         qualifying = qualifying[:max_users]
 
     held_out: dict[str, frozenset[str]] = {}
-    train = Dataset(
-        agents=dict(dataset.agents),
-        products=dict(dataset.products),
-        trust=dict(dataset.trust),
-        ratings=dict(dataset.ratings),
-    )
+    train = dataset.copy()
     for agent in qualifying:
         items = sorted(positive[agent])
         rng.shuffle(items)
         withheld = frozenset(items[:per_user])
         held_out[agent] = withheld
         for product in withheld:
-            del train.ratings[(agent, product)]
+            train.remove_rating(agent, product)
     return HoldoutSplit(train=train, held_out=held_out)
 
 
@@ -134,12 +129,7 @@ def kfold_splits(
 
     splits: list[HoldoutSplit] = []
     for fold in range(folds):
-        train = Dataset(
-            agents=dict(dataset.agents),
-            products=dict(dataset.products),
-            trust=dict(dataset.trust),
-            ratings=dict(dataset.ratings),
-        )
+        train = dataset.copy()
         held_out: dict[str, frozenset[str]] = {}
         for agent in qualifying:
             withheld = frozenset(partitions[agent][fold])
@@ -147,7 +137,7 @@ def kfold_splits(
                 continue
             held_out[agent] = withheld
             for product in withheld:
-                del train.ratings[(agent, product)]
+                train.remove_rating(agent, product)
         splits.append(HoldoutSplit(train=train, held_out=held_out))
     return splits
 

@@ -262,13 +262,17 @@ def appleseed_spread(
     # and it *replaces* any real positive edge to the source — the
     # oracle's quota dict assigns ``edges[source] = 1.0`` over whatever
     # statement was there, so those real weights must not count twice.
+    # Add the backward weight only where it belongs rather than to every
+    # node and back off the source: ``(w + 1) - 1`` drops the low digits
+    # of a tiny w (a squared weight of 1e-6).
     if backward_propagation:
         to_source = edge_dst == source
         if bool(to_source.any()):
             weights = weights.copy()
             weights[to_source] = 0.0
-        den = np.bincount(edge_src, weights=weights, minlength=n) + 1.0
-        den[source] -= 1.0
+        backward = np.ones(n)
+        backward[source] = 0.0
+        den = np.bincount(edge_src, weights=weights, minlength=n) + backward
     else:
         den = np.bincount(edge_src, weights=weights, minlength=n)
 

@@ -96,11 +96,17 @@ def resolve_trust_engine(engine: str = "auto", size: int | None = None) -> str:
 
 
 def pack_graph(graph: TrustGraph) -> "TrustMatrix":
-    """Pack *graph* into a :class:`~repro.perf.trustmatrix.TrustMatrix`.
+    """*graph* as a :class:`~repro.perf.trustmatrix.TrustMatrix`.
 
-    Emits a ``trustmatrix.pack`` span so pack cost is attributable in
-    traces separately from the sweeps it amortizes over.
+    The graph keeps its pack until its next mutation, so this packs only
+    on a miss; only a miss emits the ``trustmatrix.pack`` span (pack
+    cost attributable apart from the sweeps it amortizes over) and
+    counts in ``trust.matrix.packs``.
     """
+    return graph.packed(_pack)
+
+
+def _pack(graph: TrustGraph) -> "TrustMatrix":
     from ..perf.trustmatrix import TrustMatrix  # lazy: allowlisted trust->perf
 
     with get_tracer().span(

@@ -16,14 +16,15 @@ social network within predefined ranges only" (§3.2).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Optional
 
 from ..core.models import validate_score
-from ..util.sync import GuardedCache, ReentrantGuard
+from ..util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.models import Dataset
+    from ..perf.trustmatrix import TrustMatrix
 
 __all__ = ["TrustGraph"]
 
@@ -52,6 +53,12 @@ class TrustGraph:
         self._pos_succ: GuardedCache[str, dict[str, float]] = GuardedCache(
             "positive-successors", guard=self._guard
         )
+        # The packed CSR of the whole graph (see :meth:`packed`), kept
+        # until the next mutation: queries on an unchanged graph share
+        # one pack instead of repacking per call.
+        self._packed: AtomicSwap[TrustMatrix] = AtomicSwap(
+            "packed-trust-matrix", guard=self._guard
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -60,21 +67,32 @@ class TrustGraph:
         if not node:
             raise ValueError("node identifier must be non-empty")
         with self._guard:
-            self._succ.setdefault(node, {})
-            self._pred.setdefault(node, {})
-            self._pos_succ.invalidate(node)
+            if node not in self._succ:
+                self._insert_node(node)
+
+    def _insert_node(self, node: str) -> None:
+        """Add a node the graph lacks; the caller holds the guard."""
+        self._succ[node] = {}
+        self._pred[node] = {}
+        self._pos_succ.invalidate(node)
+        self._drop_packed()
 
     def add_edge(self, source: str, target: str, weight: float) -> None:
         """State ``t_source(target) = weight``; overwrites a prior statement."""
         if source == target:
             raise ValueError("self-trust edges are not allowed")
+        if not source or not target:
+            raise ValueError("node identifier must be non-empty")
         weight = validate_score(weight, "trust weight")
         with self._guard:
-            self.add_node(source)
-            self.add_node(target)
+            if source not in self._succ:
+                self._insert_node(source)
+            if target not in self._succ:
+                self._insert_node(target)
             self._succ[source][target] = weight
             self._pred[target][source] = weight
             self._pos_succ.invalidate(source)
+            self._drop_packed()
 
     def remove_edge(self, source: str, target: str) -> None:
         """Retract a trust statement; missing edges raise :class:`KeyError`."""
@@ -82,6 +100,12 @@ class TrustGraph:
             del self._succ[source][target]
             del self._pred[target][source]
             self._pos_succ.invalidate(source)
+            self._drop_packed()
+
+    def _drop_packed(self) -> None:
+        # Bulk builds never pack, so skip the swap while the slot is empty.
+        if self._packed.get() is not None:
+            self._packed.clear()
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset") -> "TrustGraph":
@@ -149,6 +173,15 @@ class TrustGraph:
             for target, weight in self._succ.get(node, {}).items()
             if weight > 0.0
         }
+
+    def packed(self, pack: Callable[["TrustGraph"], "TrustMatrix"]) -> "TrustMatrix":
+        """The packed matrix of the graph as it stands.
+
+        *pack* builds it on the first call after a mutation (under the
+        graph guard); later calls return the same read-only matrix until
+        :meth:`add_node`, :meth:`add_edge` or :meth:`remove_edge` drops it.
+        """
+        return self._packed.get_or_build(lambda: pack(self))
 
     def out_degree(self, node: str) -> int:
         return len(self._succ.get(node, {}))

@@ -266,6 +266,13 @@ class TestRL008SharedDatasetMutation:
         source = "def run_ex99(dataset):\n    dataset.add_agent(x)\n"
         assert "RL008" in codes_of(lint_source(source))
 
+    @pytest.mark.parametrize("method", ["remove_agent", "remove_rating", "remove_trust"])
+    def test_entry_point_remove_call_triggers(self, method):
+        source = f"def inject_churn(dataset):\n    dataset.{method}(uri, key)\n"
+        findings = lint_source(source)
+        assert codes_of(findings) == ["RL008"]
+        assert "Dataset.copy()" in findings[0].message
+
     def test_inject_field_update_triggers(self):
         source = (
             "def inject_bad(train_dataset):\n"
@@ -288,7 +295,7 @@ class TestRL008SharedDatasetMutation:
     def test_rebound_copy_is_clean(self):
         source = (
             "def run_ex99(dataset):\n"
-            "    dataset = copy_dataset(dataset)\n"
+            "    dataset = dataset.copy()\n"
             "    dataset.add_agent(x)\n"
         )
         assert lint_source(source) == []

@@ -447,10 +447,14 @@ _RL200_BASE = {
     "repro/core/models.py": """
         class Dataset:
             def __init__(self):
-                self.ratings = {}
+                self._ratings = {}
+                self._ratings_by_agent = {}
+                self._raters_by_product = {}
 
             def add_rating(self, key, value):
-                self.ratings[key] = value
+                self._ratings[key] = value
+                self._ratings_by_agent[key] = value
+                self._raters_by_product[key] = value
     """,
     "repro/core/recommender.py": """
         class ProfileStore:
@@ -531,6 +535,26 @@ class TestCacheCoherenceRule:
         )
         assert [f.code for f in findings] == ["RL200"]
         assert "part of the profile-caches" in findings[0].message
+
+    def test_dataset_index_left_stale_flagged(self, tmp_path):
+        findings = self.run(
+            tmp_path,
+            {
+                "repro/core/models.py": """
+                    class Dataset:
+                        def __init__(self):
+                            self._ratings = {}
+                            self._ratings_by_agent = {}
+                            self._raters_by_product = {}
+
+                        def remove_rating(self, key):
+                            return self._ratings.pop(key)
+                """,
+            },
+        )
+        assert [f.code for f in findings] == ["RL200"]
+        assert "remove_rating" in findings[0].message
+        assert "[dataset-rating-index]" in findings[0].message
 
     def test_mutation_without_visible_owner_is_clean(self, tmp_path):
         # Dataset.add_rating itself has no cache owner in scope.
@@ -864,6 +888,7 @@ class TestRepoEffects:
         for mutator in ("add_edge", "remove_edge", "add_node"):
             atoms = effects[f"repro.trust.graph.TrustGraph.{mutator}"]
             assert "mutates:repro.trust.graph.TrustGraph._pos_succ" in atoms
+            assert "mutates:repro.trust.graph.TrustGraph._packed" in atoms
 
     def test_appleseed_compute_does_not_mutate_the_graph(self, repo_index):
         effects = analyze_effects(repo_index).effects()

@@ -16,7 +16,6 @@ from repro.evaluation.dynamics import (
     SybilRingGrowth,
     Timeline,
     TrustSpamCampaign,
-    copy_dataset,
 )
 
 
@@ -39,7 +38,7 @@ def dataset_signature(dataset) -> tuple:
 
 class TestCopyDataset:
     def test_copies_are_independent(self, tiny_dataset):
-        clone = copy_dataset(tiny_dataset)
+        clone = tiny_dataset.copy()
         assert dataset_signature(clone) == dataset_signature(tiny_dataset)
         del clone.agents["http://example.org/eve"]
         assert "http://example.org/eve" in tiny_dataset.agents

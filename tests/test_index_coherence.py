@@ -1,0 +1,242 @@
+"""Differential tests for the indexes behind ``Dataset`` and ``TrustGraph``.
+
+``Dataset`` answers ``ratings_of`` / ``trust_of`` / ``raters_of`` from
+per-agent, per-source and per-product index dicts, and ``TrustGraph``
+keeps its packed ``TrustMatrix`` until the next mutation.  Both are
+caches over the plain maps, so both are checked against a brute-force
+rebuild after every step of a random interleaving of the mutation paths
+the repository uses.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
+from repro.obs import MetricsRegistry, collecting
+from repro.perf.trustmatrix import TrustMatrix
+from repro.trust.engine import pack_graph
+from repro.trust.graph import TrustGraph
+
+_AGENTS = [f"http://index.example.org/a{i}" for i in range(5)]
+_PRODUCTS = [f"isbn:{i}" for i in range(4)]
+_values = st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0])
+_agent = st.sampled_from(_AGENTS)
+_product = st.sampled_from(_PRODUCTS)
+_pair = st.tuples(_agent, _agent).filter(lambda pair: pair[0] != pair[1])
+
+_dataset_steps = st.one_of(
+    st.tuples(st.just("add_rating"), _agent, _product, _values),
+    st.tuples(st.just("add_trust"), _pair, _values),
+    st.tuples(st.just("add_agent"), _agent),
+    st.tuples(st.just("remove_rating"), _agent, _product),
+    st.tuples(st.just("remove_trust"), _pair),
+    st.tuples(st.just("remove_agent"), _agent),
+    st.tuples(st.just("restrict"), st.frozensets(_agent)),
+    st.tuples(st.just("construct")),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("pickle")),
+    st.tuples(st.just("edit_answer"), _agent),
+)
+
+
+def _contents(dataset: Dataset) -> tuple[list[object], ...]:
+    """Everything a dataset holds, in its iteration order."""
+    return (
+        list(dataset.agents.items()),
+        list(dataset.products.items()),
+        list(dataset.trust.items()),
+        list(dataset.ratings.items()),
+    )
+
+
+def _assert_index_matches_scan(dataset: Dataset) -> None:
+    """Each index answer equals the scan of the full maps, order included."""
+    ratings, trust = dataset.ratings.items(), dataset.trust.items()
+    assert all(key == (r.agent, r.product) for key, r in ratings)
+    assert all(key == (s.source, s.target) for key, s in trust)
+    for agent in _AGENTS:
+        scan = [(product, r.value) for (a, product), r in ratings if a == agent]
+        assert list(dataset.ratings_of(agent).items()) == scan
+        scan = [(target, s.value) for (source, target), s in trust if source == agent]
+        assert list(dataset.trust_of(agent).items()) == scan
+    for product in _PRODUCTS:
+        scan = [(agent, r.value) for (agent, p), r in ratings if p == product]
+        assert list(dataset.raters_of(product).items()) == scan
+
+
+def _start() -> Dataset:
+    dataset = Dataset()
+    for uri in _AGENTS:
+        dataset.add_agent(Agent(uri=uri))
+    for identifier in _PRODUCTS:
+        dataset.add_product(Product(identifier=identifier))
+    return dataset
+
+
+def _apply(dataset: Dataset, step: tuple, originals: list) -> Dataset:
+    """One step; returns the dataset later steps work on."""
+    kind = step[0]
+    if kind == "add_rating":
+        dataset.add_rating(Rating(agent=step[1], product=step[2], value=step[3]))
+    elif kind == "add_trust":
+        (source, target), value = step[1], step[2]
+        dataset.add_trust(TrustStatement(source=source, target=target, value=value))
+    elif kind == "add_agent":
+        dataset.add_agent(Agent(uri=step[1]))
+    elif kind in ("remove_rating", "remove_trust", "remove_agent"):
+        args = step[1] if kind == "remove_trust" else step[1:]
+        present = {
+            "remove_rating": tuple(args) in dataset.ratings,
+            "remove_trust": tuple(args) in dataset.trust,
+            "remove_agent": args[0] in dataset.agents,
+        }[kind]
+        if present:
+            getattr(dataset, kind)(*args)
+        else:
+            before = _contents(dataset)
+            with pytest.raises(KeyError):
+                getattr(dataset, kind)(*args)
+            assert _contents(dataset) == before
+    elif kind == "restrict":
+        kept = step[1]
+        subset = dataset.restricted_to_agents(kept)
+        assert set(subset.agents) == kept & set(dataset.agents)
+        return subset
+    elif kind == "construct":
+        return Dataset(
+            agents=dict(dataset.agents),
+            products=dict(dataset.products),
+            trust=dict(dataset.trust),
+            ratings=dict(dataset.ratings),
+        )
+    elif kind == "copy":
+        clone = dataset.copy()
+        assert _contents(clone) == _contents(dataset)
+        originals.append((dataset, _contents(dataset)))
+        return clone
+    elif kind == "pickle":
+        clone = pickle.loads(pickle.dumps(dataset))
+        assert clone == dataset
+        return clone
+    elif kind == "edit_answer":
+        dataset.ratings_of(step[1])["isbn:edited"] = 1.0
+        dataset.trust_of(step[1])["http://index.example.org/edited"] = 1.0
+    return dataset
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_dataset_steps, max_size=40))
+def test_dataset_index_matches_a_scan_after_every_step(steps):
+    dataset = _start()
+    originals: list = []
+    _assert_index_matches_scan(dataset)
+    for step in steps:
+        dataset = _apply(dataset, step, originals)
+        _assert_index_matches_scan(dataset)
+    # A copy shares no index row with its original: writes to the copy
+    # left every original as it was.
+    for original, contents in originals:
+        assert _contents(original) == contents
+        _assert_index_matches_scan(original)
+
+
+class TestDatasetViews:
+    def test_item_writes_raise(self, tiny_dataset):
+        key = next(iter(tiny_dataset.ratings))
+        edge = next(iter(tiny_dataset.trust))
+        with pytest.raises(TypeError):
+            tiny_dataset.ratings[key] = tiny_dataset.ratings[key]
+        with pytest.raises(TypeError):
+            del tiny_dataset.ratings[key]
+        with pytest.raises(TypeError):
+            tiny_dataset.trust[edge] = tiny_dataset.trust[edge]
+        with pytest.raises(TypeError):
+            del tiny_dataset.trust[edge]
+        with pytest.raises(AttributeError):
+            tiny_dataset.ratings.pop(key)
+
+    def test_constructor_copies_its_maps(self, tiny_dataset):
+        ratings = dict(tiny_dataset.ratings)
+        dataset = Dataset(agents=dict(tiny_dataset.agents), ratings=ratings)
+        ratings.clear()
+        assert dataset.ratings == tiny_dataset.ratings
+
+    def test_remove_agent_drops_both_trust_sides(self, tiny_dataset):
+        carol = "http://example.org/carol"
+        removed = tiny_dataset.remove_agent(carol)
+        assert removed.uri == carol
+        assert all(carol not in key for key in tiny_dataset.trust)
+        assert tiny_dataset.ratings_of(carol) == {}
+        assert carol not in tiny_dataset.raters_of("isbn:2")
+        tiny_dataset.validate()
+
+
+# -- the packed trust matrix --------------------------------------------------
+
+_NODES = [f"n{i}" for i in range(6)]
+_node = st.sampled_from(_NODES)
+_edge = st.tuples(_node, _node).filter(lambda pair: pair[0] != pair[1])
+_graph_steps = st.one_of(
+    st.tuples(st.just("add_node"), _node),
+    st.tuples(st.just("add_edge"), _edge, _values),
+    st.tuples(st.just("remove_edge"), _edge),
+    st.tuples(st.just("read")),
+)
+
+
+def _assert_same_matrix(left: TrustMatrix, right: TrustMatrix) -> None:
+    assert left.ids == right.ids
+    assert left.index == right.index
+    for name in TrustMatrix.__slots__:
+        if name in ("ids", "index"):
+            continue
+        mine, theirs = getattr(left, name), getattr(right, name)
+        assert mine.dtype == theirs.dtype, name
+        assert np.array_equal(mine, theirs), name
+
+
+def _mutate(graph: TrustGraph, step: tuple) -> bool:
+    """Apply one step; whether it changed the graph."""
+    kind = step[0]
+    if kind == "add_node":
+        fresh = step[1] not in graph
+        graph.add_node(step[1])
+        return fresh
+    if kind == "add_edge":
+        (source, target), weight = step[1], step[2]
+        graph.add_edge(source, target, weight)
+        return True
+    if kind == "remove_edge":
+        source, target = step[1]
+        if graph.weight(source, target) is None:
+            with pytest.raises(KeyError):
+                graph.remove_edge(source, target)
+            return False
+        graph.remove_edge(source, target)
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_graph_steps, max_size=30))
+def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
+    graph = TrustGraph()
+    graph.add_node(_NODES[0])
+    with collecting(MetricsRegistry()) as registry:
+        packs = registry.counter("trust.matrix.packs")
+        pack_graph(graph)
+        for step in steps:
+            before = packs.value
+            changed = _mutate(graph, step)
+            packed = pack_graph(graph)
+            _assert_same_matrix(packed, TrustMatrix.from_graph(graph))
+            # Packs only on the first read after a mutation.
+            assert packs.value == before + (1 if changed else 0)
+            assert pack_graph(graph) is packed
+            assert packs.value == before + (1 if changed else 0)

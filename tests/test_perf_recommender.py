@@ -70,13 +70,13 @@ class TestProfileStoreInvalidate:
         product = sorted(dataset.products)[0]
         before = store.profile(agent)
         rating = Rating(agent=agent, product=product, value=1.0)
-        dataset.ratings[(agent, product)] = rating
+        dataset.add_rating(rating)
         try:
             assert store.profile(agent) is before  # cache hides the mutation
             store.invalidate(agent)
             assert store.profile(agent) != before
         finally:
-            del dataset.ratings[(agent, product)]
+            dataset.remove_rating(agent, product)
             store.invalidate(agent)
 
     def test_matrix_cached_and_dropped_on_any_invalidation(

@@ -189,6 +189,14 @@ class TestEdgeCases:
         assert result.ranks["b"] > 0.0
 
     @requires_numpy
+    def test_tiny_nonlinear_weight_keeps_the_source_quota_exact(self):
+        # The source's denominator was once (w**2 + 1) - 1, which lost the
+        # low digits of w**2 = 1e-6 and put b's rank 2.7e-8 off the oracle.
+        graph = TrustGraph.from_edges([("a", "b", 0.001)])
+        result = self._both(graph, "a", normalization="nonlinear")
+        assert result.ranks["b"] > 0.0
+
+    @requires_numpy
     def test_disconnected_source_ranks_nobody(self):
         graph = TrustGraph.from_edges([("a", "b", 0.9)])
         graph.add_node("loner")

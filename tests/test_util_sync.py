@@ -25,6 +25,8 @@ import pytest
 
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import ProfileStore
+from repro.perf.trustmatrix import TrustMatrix
+from repro.trust.engine import pack_graph
 from repro.trust.graph import TrustGraph
 from repro.util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 
@@ -280,3 +282,46 @@ class TestConcurrencyStress:
             stop.set()
             writer_future.result()
         assert all(results)
+
+    def test_trust_graph_packed_matrix_with_edge_writer(self):
+        """Readers share the graph's cached pack while a writer toggles an
+        edge; every pack they get holds one of the two serial edge sets,
+        and once the writer stops the cached pack is a fresh one."""
+        graph = TrustGraph.from_edges(
+            [("a", "b", 0.9), ("a", "c", 0.8), ("b", "c", 0.7)]
+        )
+        full = {("a", "b", 0.9), ("a", "c", 0.8), ("b", "c", 0.7)}
+        toggled = full - {("a", "b", 0.9)}
+        stop = threading.Event()
+
+        def edges(matrix: TrustMatrix) -> set[tuple[str, str, float]]:
+            return {
+                (matrix.ids[s], matrix.ids[t], w)
+                for s, t, w in zip(
+                    matrix.edge_src.tolist(),
+                    matrix.indices.tolist(),
+                    matrix.weights.tolist(),
+                )
+            }
+
+        def writer() -> None:
+            while not stop.is_set():
+                graph.remove_edge("a", "b")
+                graph.add_edge("a", "b", 0.9)
+
+        def reader(_: int) -> bool:
+            return all(
+                edges(pack_graph(graph)) in (full, toggled) for _ in range(ITERATIONS)
+            )
+
+        with ThreadPoolExecutor(max_workers=READERS + 1) as pool:
+            writer_future = pool.submit(writer)
+            results = list(pool.map(reader, range(READERS)))
+            stop.set()
+            writer_future.result()
+        assert all(results)
+        packed, fresh = pack_graph(graph), TrustMatrix.from_graph(graph)
+        assert packed.ids == fresh.ids
+        assert np.array_equal(packed.indptr, fresh.indptr)
+        assert np.array_equal(packed.indices, fresh.indices)
+        assert np.array_equal(packed.weights, fresh.weights)
