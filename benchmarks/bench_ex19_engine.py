@@ -16,10 +16,7 @@ import json
 import os
 import pathlib
 
-import pytest
 from _util import report
-
-pytest.importorskip("numpy")
 
 from repro.evaluation.experiments_perf import run_ex19_engine
 

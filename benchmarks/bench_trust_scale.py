@@ -25,10 +25,7 @@ import json
 import os
 import pathlib
 
-import pytest
 from _util import report  # noqa: F401  (shared harness idiom)
-
-pytest.importorskip("numpy")
 
 from repro.datasets.generators import stream_trust_edges
 from repro.obs import Stopwatch
@@ -92,7 +89,7 @@ def _parity(python_results, numpy_results) -> float:
 
 
 def test_trust_scale():
-    metric = Appleseed()
+    metric = Appleseed(engine="python")
     records = []
     for n_agents in SIZES:
         watch = Stopwatch()
@@ -142,12 +139,12 @@ def test_trust_scale():
         # Determinism across worker counts, on the one size smoke runs.
         graph = TrustGraph.from_edges(_edges(SIZES[0]))
         sources = sorted(graph.nodes())[:12]
-        serial = rank_many(graph, sources, engine="numpy")
+        serial = rank_many(graph, sources, engine="auto")
         from repro.perf.parallel import ParallelExperimentRunner
 
         for workers in (1, 2):
             runner = ParallelExperimentRunner(max_workers=workers)
-            assert rank_many(graph, sources, engine="numpy", runner=runner) == serial
+            assert rank_many(graph, sources, engine="auto", runner=runner) == serial
 
     OUTPUT.write_text(  # reprolint: disable=RL010  (predates repro-bench/1)
         json.dumps({"smoke": SMOKE, "seed": SEED, "sizes": records}, indent=2) + "\n"

@@ -10,7 +10,7 @@ This package enforces them at analysis time with an AST-based lint pass:
 * :mod:`repro.analysis.engine` — the rule registry, per-file AST visitor,
   ``# reprolint: disable=RLxxx`` suppression handling, and JSON/human
   output formatting.
-* :mod:`repro.analysis.rules` — the domain rules (``RL001``–``RL009``),
+* :mod:`repro.analysis.rules` — the domain rules (``RL001``–``RL010``),
   each keyed to a paper section or an inter-subsystem contract.
 
 On top of the per-file pass sits **reprograph**, the whole-program
@@ -21,8 +21,8 @@ layer (``RL100``–``RL104``):
 * :mod:`repro.analysis.graph` — the module import graph, dead-module
   (``RL103``) and import-cycle (``RL104``) rules.
 * :mod:`repro.analysis.contracts` — the declarative layering contract
-  (``core`` imports nothing internal, ``trust``/``perf``/``semweb`` sit
-  on ``core``, ...) enforced as ``RL100``.
+  (``core`` imports nothing internal, ``perf``/``semweb`` sit on
+  ``core``, ``trust`` on ``core`` and ``perf``, ...) enforced as ``RL100``.
 * :mod:`repro.analysis.dataflow` — the §3.2/§4 taint pass (untrusted
   web content must pass ``validate_score``/``clamp_score`` before any
   scoring sink, ``RL101``) and process-pool fork-safety (``RL102``).

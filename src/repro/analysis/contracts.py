@@ -2,8 +2,9 @@
 
 The reproduction's packages form a layered architecture that mirrors the
 paper's system picture: the §3.1 information model and the §3.2–§3.4
-pipeline mathematics sit at the bottom (``repro.core``), the trust
-metrics and vectorized engines build directly on it, the Semantic Web
+pipeline mathematics sit at the bottom (``repro.core``), the
+vectorized kernels build directly on it and the trust metrics on both
+(they run on ``perf``'s packed CSR kernels), the Semantic Web
 substrate and the simulated Web ingest *into* it, and evaluation /
 orchestration sit on top::
 
@@ -33,10 +34,12 @@ aspirational:
 * ``TYPE_CHECKING`` imports are always allowed — they cost nothing at
   runtime and exist precisely to type cross-layer seams;
 * a small set of **lazy-allowed** edges names the deliberate inversions:
-  ``core`` resolves its optional numpy engine out of ``perf`` at call
-  time (``engine="auto"``), which is a plugin lookup, not a layering
-  dependency.  Any *other* lazy import across a forbidden edge is still
-  a violation — deferring an import does not change the architecture.
+  ``core`` reaches the packed kernels of ``perf`` at call time
+  (``engine="auto"``), because ``perf.kernels`` imports
+  ``core.similarity`` at module scope and a module-scope edge back
+  would be an import cycle.  Any *other* lazy import across a forbidden
+  edge is still a violation — deferring an import does not change the
+  architecture.
 
 Known legacy violations (``core.neighborhood``/``core.recommender``
 importing ``repro.trust`` at module scope) are deliberately *not*
@@ -100,8 +103,9 @@ class LayerContract:
             # The §3.1 information model and pipeline math; may emit
             # telemetry but depends on no other subsystem.
             "core": frozenset({"obs", "util"}),
-            # Trust metrics operate on core's models and score contract.
-            "trust": frozenset({"core", "obs", "util"}),
+            # Trust metrics operate on core's models and score contract
+            # and run on perf's packed CSR kernels.
+            "trust": frozenset({"core", "perf", "obs", "util"}),
             # The vectorized engines reproduce core's numeric conventions.
             "perf": frozenset({"core", "obs", "util"}),
             # RDF/FOAF documents serialize core models.
@@ -118,15 +122,10 @@ class LayerContract:
     )
     lazy_allowed: frozenset[tuple[str, str]] = frozenset(
         {
-            # engine="auto" resolution: core looks its optional numpy
-            # accelerator up at call time; perf imports core, not vice
-            # versa, for everything that matters at import time.
+            # engine="auto": core calls the packed kernels at call time;
+            # perf.kernels imports core.similarity at module scope, so a
+            # module-scope core -> perf edge would be an import cycle.
             ("core", "perf"),
-            # Same inversion one layer down: the group trust metrics
-            # resolve their packed-CSR engines (repro.perf.trustmatrix)
-            # at compute time, keeping the trust package importable —
-            # python oracle intact — on numpy-less installs.
-            ("trust", "perf"),
         }
     )
     top_layers: frozenset[str] = frozenset({"cli", "agent", ""})

@@ -359,13 +359,17 @@ PURE_ENTRY_POINTS: tuple[tuple[str, frozenset[str]], ...] = (
     ("repro.core.similarity", frozenset({"top_similar"})),
     ("repro.core.diversify", frozenset({"rerank", "ils"})),
     (
-        "repro.perf.engine",
-        frozenset({"community_scores", "rank_profiles"}),
-    ),
-    (
         "repro.perf.kernels",
         frozenset(
-            {"pearson_many", "cosine_many", "similarity_many", "top_k", "top_k_pairs"}
+            {
+                "community_scores",
+                "cosine_many",
+                "pearson_many",
+                "rank_profiles",
+                "similarity_many",
+                "top_k",
+                "top_k_pairs",
+            }
         ),
     ),
     ("repro.trust", frozenset({"compute", "rank_many"})),

@@ -36,13 +36,6 @@ section or inter-subsystem contract it protects:
            :mod:`repro.evaluation.attacks` documents); in-place mutation
            corrupts the caller's community for every later experiment
            sharing it
-``RL009``  trust metric computed with the engine hardwired — an
-           evaluation/CLI entry point chaining
-           ``Appleseed(...).compute(...)`` (or Advogato /
-           PersonalizedPageRank) without an ``engine=`` argument pins
-           the pure-python oracle and silently bypasses the
-           ``auto|numpy|python`` resolver
-           (:func:`repro.trust.engine.resolve_trust_engine`)
 ``RL010``  ``BENCH_*.json`` written around the schema helper — raw
            ``.write_text()`` / ``json.dump()`` / ``open(…, "w")`` on a
            benchmark-trajectory file bypasses
@@ -140,7 +133,6 @@ __all__ = [
     "DEFAULT_GRAPH_RULES",
     "DEFAULT_RULES",
     "FloatEqualityOnScoresRule",
-    "HardwiredTrustEngineRule",
     "MutableDefaultArgRule",
     "ScoreLiteralRangeRule",
     "SharedDatasetMutationRule",
@@ -694,62 +686,6 @@ class SharedDatasetMutationRule(Rule):
                 )
 
 
-#: Trust metric classes whose constructor takes the ``engine=`` switch.
-_ENGINE_METRICS = frozenset({"Appleseed", "Advogato", "PersonalizedPageRank"})
-
-#: Modules bound by the resolver contract: the evaluation entry points
-#: and the CLI.  Library layers (trust itself, core defaults) stay free
-#: to pin the oracle — that *is* the resolver's fallback.
-_ENGINE_SCOPE_RE = re.compile(r"(?:^|[/\\])(?:evaluation[/\\][^/\\]+|cli)\.py$|[/\\]evaluation[/\\]")
-
-
-class HardwiredTrustEngineRule(Rule):
-    """RL009: evaluation/CLI code computes a trust metric with the engine pinned.
-
-    ``repro.trust.engine`` resolves ``engine="auto"|"numpy"|"python"``
-    (mirroring ``repro.perf.engine``), and the metric constructors
-    default to the pure-python oracle so that direct library use stays
-    bit-identical.  Entry points — the EX experiment runners and the
-    CLI — must therefore *opt in* by threading an ``engine=`` argument;
-    a chained ``Appleseed(...).compute(...)`` without one silently pins
-    the oracle and loses the vectorized path at community scale.
-    Constructions handed to :func:`repro.trust.engine.rank_many` (which
-    resolves the engine itself) are not chained and are not flagged.
-    Deliberate oracle pins (e.g. a baseline measurement) suppress with
-    ``# reprolint: disable=RL009``.
-    """
-
-    code = "RL009"
-    summary = "trust metric bypasses the engine resolver; pass engine="
-
-    def check(self, tree: ast.Module, context: RuleContext) -> Iterator[Finding]:
-        if not _ENGINE_SCOPE_RE.search(context.path):
-            return
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "compute"
-            ):
-                continue
-            ctor = node.func.value
-            if not isinstance(ctor, ast.Call):
-                continue
-            name = _dotted_name(ctor.func)
-            short = name.rpartition(".")[2] if name else ""
-            if short not in _ENGINE_METRICS:
-                continue
-            if any(keyword.arg == "engine" for keyword in ctor.keywords):
-                continue
-            yield self.finding(
-                ctor,
-                context,
-                f"{short}(...).compute(...) without engine= pins the "
-                "python oracle; thread an engine argument through "
-                "(resolve via repro.trust.engine)",
-            )
-
-
 #: ``BENCH_<name>.json`` — the benchmark-trajectory filename family.
 _BENCH_FILE_RE = re.compile(r"^BENCH_[\w.-]*\.json$")
 
@@ -862,7 +798,6 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     ScoreLiteralRangeRule(),
     WallClockDurationRule(),
     SharedDatasetMutationRule(),
-    HardwiredTrustEngineRule(),
     BenchSchemaBypassRule(),
 )
 

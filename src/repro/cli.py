@@ -6,8 +6,8 @@ Installed as the ``repro`` console script.  Subcommands:
 * ``repro info``       — summarize a dataset snapshot
 * ``repro recommend``  — top-N recommendations for one agent
 * ``repro trust``      — trust neighborhood of one agent (Appleseed/Advogato);
-  ``repro trust rank SOURCE... --engine numpy --workers N`` runs a
-  sharded :func:`~repro.trust.engine.rank_many` sweep over many sources
+  ``repro trust rank SOURCE... --workers N`` runs a sharded
+  :func:`~repro.trust.engine.rank_many` sweep over many sources
 * ``repro experiment`` — run one EX table (EX01–EX23) and print it;
   ``--parallel N`` fans EX02/EX03/EX05/EX06/EX17 and the EX20–EX23
   dynamics scenarios out over worker processes
@@ -51,7 +51,6 @@ import argparse
 import sys
 from collections.abc import Callable, Sequence
 
-from .core.neighborhood import NeighborhoodFormation
 from .core.profiles import TaxonomyProfileBuilder
 from .core.recommender import (
     PopularityRecommender,
@@ -149,13 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["hybrid", "cf", "trust", "popularity", "random"],
         default="hybrid",
     )
-    recommend.add_argument(
-        "--engine",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help="similarity engine for hybrid/cf (results are identical; "
-             "numpy is faster at community scale)",
-    )
     _add_obs_arguments(recommend)
 
     trust = sub.add_parser("trust", help="compute a trust neighborhood")
@@ -169,13 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--source-index", type=int, help="index into sorted agents")
     trust.add_argument("--metric", choices=["appleseed", "advogato"], default="appleseed")
     trust.add_argument("--top", type=int, default=10)
-    trust.add_argument(
-        "--engine",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help="trust propagation engine (results are identical; numpy is "
-             "faster at community scale)",
-    )
     trust_sub = trust.add_subparsers(dest="trust_command", metavar="SUBCOMMAND")
     rank = trust_sub.add_parser(
         "rank",
@@ -184,12 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("sources", nargs="*", metavar="SOURCE",
                       help="source agent URIs (default: every agent)")
     rank.add_argument("--data", default=None)
-    rank.add_argument(
-        "--engine",
-        choices=["auto", "numpy", "python"],
-        default="auto",
-        help="trust propagation engine for the sweep",
-    )
     rank.add_argument("--workers", type=int, default=None, metavar="N",
                       help="worker processes (default: serial in-process)")
     rank.add_argument("--top", type=int, default=3,
@@ -411,14 +390,10 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     graph = TrustGraph.from_dataset(dataset)
     if args.method == "hybrid":
         recommender = SemanticWebRecommender(
-            dataset=dataset, graph=graph, profiles=store,
-            formation=NeighborhoodFormation(engine=args.engine),
-            engine=args.engine,
+            dataset=dataset, graph=graph, profiles=store
         )
     elif args.method == "cf":
-        recommender = PureCFRecommender(
-            dataset=dataset, profiles=store, engine=args.engine
-        )
+        recommender = PureCFRecommender(dataset=dataset, profiles=store)
     elif args.method == "trust":
         recommender = TrustOnlyRecommender(dataset=dataset, graph=graph)
     elif args.method == "popularity":
@@ -451,7 +426,7 @@ def _cmd_trust(args: argparse.Namespace) -> int:
     graph = TrustGraph.from_dataset(dataset)
     print(f"source: {source}")
     if args.metric == "appleseed":
-        result = Appleseed(engine=args.engine).compute(graph, source)
+        result = Appleseed().compute(graph, source)
         print(
             f"appleseed: {len(result.ranks)} ranked, "
             f"{result.iterations} iterations, converged={result.converged}"
@@ -459,9 +434,7 @@ def _cmd_trust(args: argparse.Namespace) -> int:
         for agent, rank in result.top(args.top):
             print(f"{agent}\t{rank:.4f}")
     else:
-        result = Advogato(target_size=args.top, engine=args.engine).compute(
-            graph, source
-        )
+        result = Advogato(target_size=args.top).compute(graph, source)
         print(f"advogato: {len(result.accepted)} certified (flow {result.total_flow})")
         for agent in sorted(result.accepted):
             print(agent)
@@ -485,7 +458,7 @@ def _cmd_trust_rank(args: argparse.Namespace) -> int:
         from .perf.parallel import ParallelExperimentRunner
 
         runner = ParallelExperimentRunner(max_workers=args.workers)
-    results = rank_many(graph, sources, engine=args.engine, runner=runner)
+    results = rank_many(graph, sources, runner=runner)
     for result in results:
         print(
             f"{result.source}\t{len(result.ranks)} ranked\t"

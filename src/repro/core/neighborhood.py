@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..trust.appleseed import Appleseed, AppleseedResult
 from ..trust.graph import TrustGraph
+from .similarity import check_engine
 
 __all__ = ["NeighborhoodFormation", "TrustNeighborhood", "normalize_ranks"]
 
@@ -71,9 +72,10 @@ class NeighborhoodFormation:
     max_peers:
         Optional top-M cut applied after thresholding.
     engine:
-        Trust-propagation engine for the default metric
-        (``"auto"``/``"numpy"``/``"python"``); ignored when an explicit
-        *metric* is supplied, which carries its own engine choice.
+        Trust-propagation engine for the default metric: ``"auto"``
+        runs Appleseed's packed kernels, ``"python"`` its dict oracle
+        (:data:`~repro.core.similarity.ENGINES`).  Ignored when an
+        explicit *metric* is supplied, which carries its own engine.
     """
 
     def __init__(
@@ -82,7 +84,7 @@ class NeighborhoodFormation:
         injection: float = 200.0,
         threshold: float = 0.0,
         max_peers: int | None = None,
-        engine: str = "python",
+        engine: str = "auto",
     ) -> None:
         if injection <= 0.0:
             raise ValueError("injection must be positive")
@@ -90,6 +92,7 @@ class NeighborhoodFormation:
             raise ValueError("threshold must be non-negative")
         if max_peers is not None and max_peers < 1:
             raise ValueError("max_peers must be at least 1 when given")
+        check_engine(engine)
         self.metric = metric or Appleseed(engine=engine)
         self.injection = injection
         self.threshold = threshold

@@ -44,7 +44,7 @@ from ..util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 from .models import Dataset
 from .neighborhood import NeighborhoodFormation, TrustNeighborhood
 from .profiles import Profile, TaxonomyProfileBuilder, product_profile
-from .similarity import Domain, cosine, pearson
+from .similarity import Domain, check_engine, cosine, engine_path, pearson
 from .synthesis import LinearBlend, SynthesisStrategy
 from .taxonomy import Taxonomy
 
@@ -110,7 +110,7 @@ class ProfileStore:
 
         Built lazily on first use (the one call that pays the full
         O(community) profile construction) and published atomically;
-        dropped by :meth:`invalidate`; requires numpy.
+        dropped by :meth:`invalidate`.
         """
         cached = self._matrix.get()
         if cached is not None:
@@ -223,7 +223,9 @@ class SemanticWebRecommender(Recommender):
 
     All heavyweight state (trust graph, profile store) is built once in
     :meth:`from_dataset` and shared across calls; :meth:`recommend` runs
-    the per-principal local computation.
+    the per-principal local computation.  *engine* selects the
+    similarity stage's implementation (:data:`~repro.core.similarity.ENGINES`);
+    :meth:`from_dataset` hands it to the default formation too.
     """
 
     dataset: Dataset
@@ -234,6 +236,9 @@ class SemanticWebRecommender(Recommender):
     similarity_measure: str = "pearson"
     similarity_domain: Domain = "union"
     engine: str = "auto"
+
+    def __post_init__(self) -> None:
+        check_engine(self.engine)
 
     @classmethod
     def from_dataset(
@@ -271,14 +276,12 @@ class SemanticWebRecommender(Recommender):
     ) -> dict[str, float]:
         """Stage 2: taxonomy-profile similarity to each peer.
 
-        With the numpy engine the peers are scored through the profile
-        store's packed community matrix in one kernel call; the python
-        engine computes dict pairs (the oracle).  Results agree to 1e-9.
+        With ``engine="auto"`` the peers are scored through the profile
+        store's packed community matrix in one kernel call; ``"python"``
+        computes dict pairs (the oracle).  Results agree to 1e-9.
         """
-        from ..perf.engine import resolve_engine
-
         own = self.profiles.profile(agent)
-        if peers and resolve_engine(self.engine) == "numpy":
+        if peers and engine_path(self.engine) == "numpy":
             from ..perf.kernels import similarity_many
 
             matrix = self.profiles.matrix()
@@ -358,6 +361,7 @@ class PureCFRecommender(Recommender):
     )
 
     def __post_init__(self) -> None:
+        check_engine(self.engine)
         if self.representation not in ("taxonomy", "product"):
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.representation == "taxonomy" and self.profiles is None:
@@ -417,7 +421,7 @@ class PureCFRecommender(Recommender):
     def peer_weights(self, agent: str) -> dict[str, float]:
         """Top-k most similar peers with positive similarity.
 
-        This is the all-pairs hot path: with the numpy engine the whole
+        This is the all-pairs hot path: with ``engine="auto"`` the whole
         community is scored in one kernel call against the cached
         :class:`~repro.perf.matrix.ProfileMatrix`, with inverted-index
         pruning of zero-overlap candidates where that is exact.
@@ -425,10 +429,8 @@ class PureCFRecommender(Recommender):
         assert self.similarity_measure is not None
         domain = self._domain()
         own = self._profile(agent)
-        from ..perf.engine import resolve_engine
-
-        if resolve_engine(self.engine) == "numpy":
-            from ..perf.engine import community_scores
+        if engine_path(self.engine) == "numpy":
+            from ..perf.kernels import community_scores
 
             matrix = self._matrix()
             values = community_scores(

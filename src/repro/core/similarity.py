@@ -23,9 +23,14 @@ import math
 from collections.abc import Mapping
 from typing import Literal
 
+from ..obs import get_metrics
+
 __all__ = [
+    "ENGINES",
     "SCORE_TOLERANCE",
+    "check_engine",
     "cosine",
+    "engine_path",
     "isclose",
     "overlap_keys",
     "pearson",
@@ -52,6 +57,35 @@ def isclose(left: float, right: float, *, tol: float = SCORE_TOLERANCE) -> bool:
     score is a bug upstream, not a value to match.
     """
     return abs(left - right) <= tol
+
+
+#: The two values every ``engine`` switch takes.  ``"auto"``, the default
+#: everywhere, runs the packed numpy kernels of :mod:`repro.perf` — the one
+#: production path.  ``"python"`` runs the dict reference implementations,
+#: which the parity tests and the engine-contrast experiments (EX08, EX19)
+#: call explicitly.  Both agree within :data:`SCORE_TOLERANCE`.
+ENGINES = ("auto", "python")
+
+
+def check_engine(engine: str) -> str:
+    """*engine* unchanged, or ``ValueError`` unless it is in :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
+    return engine
+
+
+def engine_path(engine: str, family: str = "engine") -> str:
+    """The path *engine* runs — ``"numpy"`` or ``"python"`` — counted.
+
+    Call once per computation: it increments ``{family}.selected.numpy``
+    or ``{family}.selected.python`` (*family* is ``"engine"`` for
+    similarity, ``"trust.engine"`` for the trust metrics), the counters
+    that report the packed path's share of the work.
+    """
+    path = "numpy" if check_engine(engine) == "auto" else "python"
+    get_metrics().counter(f"{family}.selected.{path}").inc()
+    return path
+
 
 #: Pairs with fewer co-rated coordinates than this yield similarity 0 in
 #: intersection mode — a single shared coordinate makes Pearson degenerate.
@@ -180,13 +214,12 @@ def top_similar(
 ) -> list[tuple[str, float]]:
     """Rank *candidates* (id -> profile) by similarity to *target*.
 
-    Ties break on the candidate identifier for determinism.  *engine*
-    selects the implementation: ``"python"`` computes one dict pair at a
-    time (this module's functions), ``"numpy"`` packs the candidates
-    into a :class:`~repro.perf.matrix.ProfileMatrix` and scores them
-    with one vectorized kernel call, ``"auto"`` picks numpy for
-    large-enough candidate sets.  Both engines agree on rankings and
-    values to within 1e-9 (see ``tests/test_perf_kernels.py``).
+    Ties break on the candidate identifier for determinism; a *limit* of
+    0 or below selects nothing.  ``engine="auto"`` packs the candidates
+    into a :class:`~repro.perf.matrix.ProfileMatrix` and scores them with
+    one vectorized kernel call; ``"python"`` computes one dict pair at a
+    time with this module's functions (the reference).  Both agree on
+    rankings and values to within 1e-9 (see ``tests/test_perf_kernels.py``).
     """
     if measure == "pearson":
         func = pearson
@@ -196,11 +229,12 @@ def top_similar(
         raise ValueError(f"unknown similarity measure {measure!r}")
     if domain not in ("union", "intersection"):
         raise ValueError(f"unknown domain {domain!r}")
-    # Imported lazily: repro.perf.engine imports this module for oracles.
-    from ..perf.engine import resolve_engine
-
-    if resolve_engine(engine, size=len(candidates)) == "numpy":
-        from ..perf.engine import rank_profiles
+    packed = engine_path(engine) == "numpy"
+    if limit is not None and limit <= 0:
+        return []
+    if packed:
+        # Imported lazily: repro.perf.kernels imports this module.
+        from ..perf.kernels import rank_profiles
 
         return rank_profiles(
             target, candidates, measure=measure, domain=domain, limit=limit
@@ -209,8 +243,8 @@ def top_similar(
         (identifier, func(target, profile, domain))
         for identifier, profile in candidates.items()
     ]
-    if limit is not None and 0 <= limit < len(scored):
+    if limit is not None and limit < len(scored):
         # Heap selection: don't sort the whole community for a top-N ask.
         return heapq.nsmallest(limit, scored, key=lambda item: (-item[1], item[0]))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored if limit is None else scored[:limit]
+    return scored

@@ -36,7 +36,6 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..core.neighborhood import NeighborhoodFormation
 from ..core.profiles import TaxonomyProfileBuilder
 from ..core.recommender import ProfileStore, SemanticWebRecommender
 from ..datasets.amazon import book_taxonomy_config
@@ -154,11 +153,7 @@ def _run_one_size(
             graph = TrustGraph.from_dataset(community.dataset)
 
     recommender = SemanticWebRecommender(
-        dataset=community.dataset,
-        graph=graph,
-        profiles=store,
-        formation=NeighborhoodFormation(engine="auto"),
-        engine="auto",
+        dataset=community.dataset, graph=graph, profiles=store
     )
     agents = sorted(community.dataset.agents)
     with tracer.span(_PHASE_SPAN["query"], agents=n_agents, queries=queries):
@@ -168,7 +163,7 @@ def _run_one_size(
     step = max(1, len(agents) // trust_sources)
     sources = [agents[i * step] for i in range(min(trust_sources, len(agents)))]
     with tracer.span(_PHASE_SPAN["trust"], agents=n_agents, sources=len(sources)):
-        rank_many(graph, sources, engine="auto")
+        rank_many(graph, sources)
 
 
 def _document_from_trace(

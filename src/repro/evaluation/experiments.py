@@ -134,7 +134,6 @@ def run_ex02_trust_similarity(
     community: SyntheticCommunity | None = None,
     n_samples: int = 400,
     seed: int = 7,
-    engine: str = "auto",
     runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Mean profile similarity of trusted pairs vs 2-hop pairs vs random.
@@ -143,8 +142,8 @@ def run_ex02_trust_similarity(
     *metric-formed* neighborhoods the §3.2 pipeline actually uses: each
     sampled source paired with its top-ranked Appleseed peer, computed
     as one sharded :func:`~repro.trust.engine.rank_many` sweep over the
-    packed trust matrix (*engine*/*runner* select the kernel and the
-    fan-out; results are engine- and worker-count-independent).
+    packed trust matrix (*runner* selects the fan-out; results are
+    worker-count-independent).
     """
     community = community or default_community()
     dataset = community.dataset
@@ -189,9 +188,7 @@ def run_ex02_trust_similarity(
     )
     neighborhood_pairs = [
         (result.source, result.top(1)[0][0])
-        for result in rank_many(
-            graph, sweep_sources, engine=engine, runner=runner
-        )
+        for result in rank_many(graph, sweep_sources, runner=runner)
         if result.ranks
     ]
 
@@ -234,14 +231,13 @@ def run_ex03_appleseed_convergence(
     community: SyntheticCommunity | None = None,
     n_sources: int = 10,
     seed: int = 3,
-    engine: str = "auto",
     runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Iterations and neighborhood size across d, T_c and injection.
 
     Each ``(d, T_c, injection)`` configuration runs as one sharded
-    :func:`~repro.trust.engine.rank_many` sweep; *engine* and *runner*
-    change wall-clock only, never a table cell.
+    :func:`~repro.trust.engine.rank_many` sweep; *runner* changes
+    wall-clock only, never a table cell.
     """
     community = community or default_community()
     graph = TrustGraph.from_dataset(community.dataset)
@@ -270,7 +266,6 @@ def run_ex03_appleseed_convergence(
                         sources,
                         metric=metric,
                         injection=injection,
-                        engine=engine,
                         runner=runner,
                     ):
                         iterations.append(result.iterations)
@@ -304,7 +299,6 @@ def run_ex04_attack_resistance(
     bridge_counts: tuple[int, ...] = (0, 1, 2, 5, 10, 20),
     top_k: int = 50,
     seed: int = 11,
-    engine: str = "auto",
 ) -> Table:
     """Fraction of sybils admitted into the neighborhood vs #attack edges."""
     community = community or default_community()
@@ -330,15 +324,15 @@ def run_ex04_attack_resistance(
         )
         graph = TrustGraph.from_dataset(region.dataset)
 
-        apple = Appleseed(engine=engine).compute(graph, source)
+        apple = Appleseed().compute(graph, source)
         top = [agent for agent, _ in apple.top(top_k)]
         apple_frac = sum(1 for a in top if a in region.sybils) / max(len(top), 1)
 
-        ppr = PersonalizedPageRank(engine=engine).compute(graph, source)
+        ppr = PersonalizedPageRank().compute(graph, source)
         ppr_top = [agent for agent, _ in ppr.top(top_k)]
         ppr_frac = sum(1 for a in ppr_top if a in region.sybils) / max(len(ppr_top), 1)
 
-        advogato = Advogato(target_size=top_k, engine=engine).compute(graph, source)
+        advogato = Advogato(target_size=top_k).compute(graph, source)
         accepted = advogato.accepted - {source}
         adv_frac = (
             sum(1 for a in accepted if a in region.sybils) / len(accepted)
@@ -614,15 +608,14 @@ def run_ex08_scalability(
     sizes: tuple[int, ...] = (200, 400, 800),
     queries: int = 5,
     seed: int = 19,
-    engine: str = "python",
 ) -> Table:
     """Wall-clock per recommendation as the community grows.
 
-    Pins ``engine="python"`` by default: this table measures the
-    *algorithmic* claim of §2 (global CF scales with |A|, the
-    trust-bounded pipeline with the neighborhood), so the vectorized
-    engine — which flattens the constant factor — would obscure exactly
-    the shape under test.  EX19 measures the engine speedup itself.
+    Pins ``engine="python"``: this table measures the *algorithmic*
+    claim of §2 (global CF scales with |A|, the trust-bounded pipeline
+    with the neighborhood), so the vectorized engine — which flattens
+    the constant factor — would obscure exactly the shape under test.
+    EX19 measures the engine speedup itself.
     """
     table = Table(
         title="EX8 — per-recommendation latency vs community size",
@@ -645,11 +638,11 @@ def run_ex08_scalability(
             graph=graph,
             profiles=store,
             formation=NeighborhoodFormation(
-                metric=Appleseed(max_depth=4, engine=engine), max_peers=30
+                metric=Appleseed(max_depth=4, engine="python"), max_peers=30
             ),
-            engine=engine,
+            engine="python",
         )
-        cf = PureCFRecommender(dataset=dataset, profiles=store, engine=engine)
+        cf = PureCFRecommender(dataset=dataset, profiles=store, engine="python")
         agents = sorted(dataset.agents)[:queries]
         for agent in agents:  # warm profile caches outside the timed region
             store.profile(agent)

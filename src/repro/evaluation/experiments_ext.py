@@ -237,7 +237,6 @@ def run_ex14_ablations(
     community: SyntheticCommunity | None = None,
     max_users: int = 30,
     seed: int = 43,
-    engine: str = "auto",
 ) -> Table:
     """Ablate the ♦-marked design decisions of DESIGN.md §4."""
     from .experiments import default_community
@@ -258,8 +257,8 @@ def run_ex14_ablations(
     # rank-weighted mean hop distance of ranked peers must be smaller
     # with them than without.
     injected = 200.0
-    with_back = Appleseed(engine=engine).compute(graph, source, injected)
-    without_back = Appleseed(backward_propagation=False, engine=engine).compute(
+    with_back = Appleseed().compute(graph, source, injected)
+    without_back = Appleseed(backward_propagation=False).compute(
         graph, source, injected
     )
     levels = graph.bfs_levels(source)
@@ -284,7 +283,7 @@ def run_ex14_ablations(
     )
 
     # (b) Nonlinear edge normalization: rank share of strong vs weak edges.
-    nonlinear = Appleseed(normalization="nonlinear", engine=engine).compute(
+    nonlinear = Appleseed(normalization="nonlinear").compute(
         graph, source, injected
     )
     table.add_row(
@@ -425,7 +424,6 @@ def run_ex17_distrust(
     n_rogues: int = 10,
     accuser_fraction: float = 0.5,
     seed: int = 53,
-    engine: str = "auto",
     runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Effect of distrust statements on rogue agents' Appleseed rank.
@@ -475,9 +473,7 @@ def run_ex17_distrust(
     ):
         shares: list[float] = []
         admissions: list[float] = []
-        for result in rank_many(
-            graph, sources, metric=metric, engine=engine, runner=runner
-        ):
+        for result in rank_many(graph, sources, metric=metric, runner=runner):
             total = sum(result.ranks.values())
             rogue_mass = sum(result.ranks.get(r, 0.0) for r in rogues)
             shares.append(rogue_mass / total if total else 0.0)

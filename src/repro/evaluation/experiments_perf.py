@@ -21,7 +21,8 @@ from ..core.similarity import top_similar
 from ..datasets.amazon import book_taxonomy_config
 from ..datasets.generators import CommunityConfig, generate_community
 from ..obs import Stopwatch, get_tracer
-from ..perf.engine import numpy_available
+from ..perf.kernels import community_scores
+from ..perf.matrix import ProfileMatrix
 from .protocol import Table
 
 __all__ = ["run_ex19_engine"]
@@ -45,12 +46,6 @@ def run_ex19_engine(
         title=f"EX19 — similarity engine comparison ({measure}/{domain})",
         headers=["agents", "topics", "python ms", "numpy ms", "speedup", "max|delta|"],
     )
-    if not numpy_available():
-        table.add_note("numpy unavailable: only the python oracle can run here.")
-        return table
-    from ..perf.engine import community_scores
-    from ..perf.matrix import ProfileMatrix
-
     for size in sizes:
         config = CommunityConfig(
             n_agents=size,

@@ -391,7 +391,6 @@ def run_ex22_evolving_sybil(
     min_ratings: int = 8,
     max_users: int | None = None,
     runner: "ParallelExperimentRunner | None" = None,
-    engine: str = "auto",
 ) -> Table:
     """A sybil ring accreting identities, forged profiles and bridges.
 
@@ -465,12 +464,7 @@ def run_ex22_evolving_sybil(
 
         final = snapshots[-1]
         graph = TrustGraph.from_dataset(final.dataset)
-        top = [
-            agent
-            for agent, _ in Appleseed(engine=engine)
-            .compute(graph, victim)
-            .top(top_k)
-        ]
+        top = [agent for agent, _ in Appleseed().compute(graph, victim).top(top_k)]
         admitted = sum(1 for a in top if a in final.truth.sybils) / max(len(top), 1)
         table.add_row(
             bridges,

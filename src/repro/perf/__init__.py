@@ -1,53 +1,46 @@
-"""Performance subsystem: vectorized similarity + parallel experiment fan-out.
+"""Performance subsystem: packed numpy kernels + parallel experiment fan-out.
 
-The community-scale hot path — all-pairs profile similarity and the
-experiment sweeps over principals — phrases as numpy matrix-vector
-products and a process-pool map without changing a single numeric
-result.  See :mod:`repro.perf.matrix` (packed profiles),
+The community-scale hot path — all-pairs profile similarity, the group
+trust metrics and the experiment sweeps over principals — phrases as
+numpy array operations and a process-pool map without changing a single
+numeric result.  See :mod:`repro.perf.matrix` (packed profiles),
 :mod:`repro.perf.kernels` (vectorized Pearson/cosine + heap top-k),
-:mod:`repro.perf.engine` (the ``engine="auto"|"numpy"|"python"``
-switch), and :mod:`repro.perf.parallel` (deterministic multi-core
-sweeps).
+:mod:`repro.perf.trustmatrix` (CSR-packed web of trust + Appleseed,
+PageRank and Advogato kernels) and :mod:`repro.perf.parallel`
+(deterministic multi-core sweeps).
 
-numpy is optional at runtime: without it every switch resolves to the
-pure-Python oracle and only :class:`ParallelExperimentRunner` and the
-engine-resolution helpers remain importable from this package.
+These kernels are the one production path: every ``engine="auto"``
+switch runs them, and ``engine="python"`` selects the dict reference
+implementations they are tested against (:data:`repro.core.similarity.ENGINES`).
 """
 
 from __future__ import annotations
 
-from .engine import numpy_available, resolve_engine
+from .kernels import (
+    community_scores,
+    cosine_many,
+    pearson_many,
+    rank_profiles,
+    similarity_many,
+    top_k,
+    top_k_pairs,
+)
+from .matrix import ProfileMatrix, TopicVocabulary
 from .parallel import ParallelExperimentRunner, derive_seed, split_evenly
+from .trustmatrix import TrustMatrix
 
 __all__ = [
     "ParallelExperimentRunner",
+    "ProfileMatrix",
+    "TopicVocabulary",
+    "TrustMatrix",
+    "community_scores",
+    "cosine_many",
     "derive_seed",
-    "numpy_available",
-    "resolve_engine",
+    "pearson_many",
+    "rank_profiles",
+    "similarity_many",
     "split_evenly",
+    "top_k",
+    "top_k_pairs",
 ]
-
-if numpy_available():  # pragma: no branch
-    from .engine import community_scores, rank_profiles  # noqa: F401
-    from .kernels import (  # noqa: F401
-        cosine_many,
-        pearson_many,
-        similarity_many,
-        top_k,
-        top_k_pairs,
-    )
-    from .matrix import ProfileMatrix, TopicVocabulary  # noqa: F401
-    from .trustmatrix import TrustMatrix  # noqa: F401
-
-    __all__ += [
-        "ProfileMatrix",
-        "TopicVocabulary",
-        "TrustMatrix",
-        "community_scores",
-        "cosine_many",
-        "pearson_many",
-        "rank_profiles",
-        "similarity_many",
-        "top_k",
-        "top_k_pairs",
-    ]

@@ -30,9 +30,18 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..core.similarity import MIN_INTERSECTION
+from ..obs import get_metrics
 from .matrix import ProfileMatrix
 
-__all__ = ["cosine_many", "pearson_many", "similarity_many", "top_k", "top_k_pairs"]
+__all__ = [
+    "community_scores",
+    "cosine_many",
+    "pearson_many",
+    "rank_profiles",
+    "similarity_many",
+    "top_k",
+    "top_k_pairs",
+]
 
 
 def _target_stats(
@@ -171,6 +180,61 @@ def similarity_many(
     if measure == "cosine":
         return cosine_many(target, matrix, rows=rows, domain=domain)
     raise ValueError(f"unknown similarity measure {measure!r}")
+
+
+def _prunable(measure: str, domain: str) -> bool:
+    """Whether zero support overlap implies similarity exactly 0.0.
+
+    True for cosine in both domains (the dot product is 0) and for
+    intersection-domain Pearson (fewer than ``MIN_INTERSECTION`` shared
+    keys).  Union-domain Pearson is *not* prunable: disjoint supports
+    genuinely anticorrelate there.
+    """
+    return not (measure == "pearson" and domain == "union")
+
+
+def community_scores(
+    target: Mapping[str, float],
+    matrix: ProfileMatrix,
+    measure: str = "pearson",
+    domain: str = "union",
+) -> np.ndarray:
+    """Similarity of *target* to every row, pruning where that is exact.
+
+    For prunable measure/domain combinations the inverted topic index
+    restricts kernel work to rows sharing at least one key with the
+    target; everyone else scores 0.0 by construction.
+    """
+    metrics = get_metrics()
+    if _prunable(measure, domain):
+        rows = matrix.overlapping_rows(target)
+        metrics.counter("similarity.index_scored").inc(len(rows))
+        metrics.counter("similarity.index_pruned").inc(len(matrix) - len(rows))
+        out = np.zeros(len(matrix))
+        if len(rows):
+            out[rows] = similarity_many(
+                target, matrix, measure=measure, domain=domain, rows=rows
+            )
+        return out
+    metrics.counter("similarity.index_scored").inc(len(matrix))
+    return similarity_many(target, matrix, measure=measure, domain=domain)
+
+
+def rank_profiles(
+    target: Mapping[str, float],
+    candidates: Mapping[str, Mapping[str, float]],
+    measure: str = "pearson",
+    domain: str = "union",
+    limit: int | None = None,
+) -> list[tuple[str, float]]:
+    """One-shot ranking: pack, score, heap-select.
+
+    The packed path of :func:`repro.core.similarity.top_similar`; the
+    candidate matrix lives only for this call.
+    """
+    matrix = ProfileMatrix.from_profiles(candidates)
+    scores = community_scores(target, matrix, measure=measure, domain=domain)
+    return top_k(matrix.ids, scores, limit)
 
 
 def top_k(

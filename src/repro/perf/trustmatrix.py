@@ -21,10 +21,10 @@ The kernels below mirror :mod:`repro.trust` step by step — quota
 splitting, decay, backward-propagation injection, convergence residual —
 and are held to the same contract as :mod:`repro.perf.kernels`: the dict
 implementations are the oracle, agreement within 1e-9, discrete outputs
-(accepted sets, BFS orders) identical.  Engine selection lives in
-:mod:`repro.trust.engine`; this module stays importable without the
-trust package (``TYPE_CHECKING`` only) to keep the layering contract's
-``trust -> perf`` edge lazy and one-directional.
+(accepted sets, BFS orders) identical.  The drivers that run these
+kernels for the metrics live in :mod:`repro.trust.engine`; this module
+imports the trust package for typing only (``TYPE_CHECKING``), so the
+layering contract's ``trust -> perf`` edge stays one-directional.
 """
 
 from __future__ import annotations

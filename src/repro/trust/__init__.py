@@ -2,13 +2,7 @@
 
 from .advogato import Advogato, AdvogatoResult
 from .appleseed import Appleseed, AppleseedResult
-from .engine import (
-    TRUST_AUTO_THRESHOLD,
-    numpy_trust_available,
-    pack_graph,
-    rank_many,
-    resolve_trust_engine,
-)
+from .engine import pack_graph, rank_many
 from .graph import TrustGraph
 from .maxflow import FlowNetwork
 from .pagerank import PageRankResult, PersonalizedPageRank
@@ -26,13 +20,10 @@ __all__ = [
     "FlowNetwork",
     "PageRankResult",
     "PersonalizedPageRank",
-    "TRUST_AUTO_THRESHOLD",
     "TrustGraph",
     "horizon_average_trust",
     "multiplicative_path_trust",
-    "numpy_trust_available",
     "pack_graph",
     "rank_many",
-    "resolve_trust_engine",
     "scalar_neighborhood",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.similarity import check_engine, engine_path
 from ..obs import get_metrics, get_tracer
 
 from .graph import TrustGraph
@@ -72,11 +73,11 @@ class Advogato:
         minimum of 1 and the sequence's last value extends to deeper
         levels.
     engine:
-        ``"python"`` (default) computes BFS levels and capacities with
-        dict loops; ``"numpy"``/``"auto"`` vectorize them over a packed
-        :class:`~repro.perf.trustmatrix.TrustMatrix` while building the
-        max-flow network in the identical order, so the accepted set is
-        the same frozenset, not an approximation.
+        ``"auto"`` (default) computes BFS levels and capacities over the
+        graph's packed :class:`~repro.perf.trustmatrix.TrustMatrix` while
+        building the max-flow network in the dict engine's order, so the
+        accepted set is the same frozenset, not an approximation;
+        ``"python"`` computes them with dict loops, the oracle.
     """
 
     #: Capacity decay per level is at least this factor even in sparse graphs.
@@ -86,25 +87,21 @@ class Advogato:
         self,
         target_size: int = 200,
         capacities: list[int] | None = None,
-        engine: str = "python",
+        engine: str = "auto",
     ) -> None:
         if target_size < 1:
             raise ValueError("target_size must be at least 1")
         if capacities is not None and not capacities:
             raise ValueError("explicit capacities must be non-empty")
-        if engine not in ("auto", "numpy", "python"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.target_size = target_size
         self.explicit_capacities = list(capacities) if capacities else None
-        self.engine = engine
+        self.engine = check_engine(engine)
 
     def compute(self, graph: TrustGraph, seed: str) -> AdvogatoResult:
         """Certify the trust neighborhood of *seed* over *graph*."""
         if seed not in graph:
             raise KeyError(f"unknown seed agent {seed!r}")
-        from .engine import resolve_trust_engine  # deferred: sibling cycle
-
-        resolved = resolve_trust_engine(self.engine, size=len(graph))
+        resolved = engine_path(self.engine, "trust.engine")
         with get_tracer().span(
             "advogato.compute",
             seed=seed,
@@ -112,7 +109,7 @@ class Advogato:
             engine=resolved,
         ) as span:
             if resolved == "numpy":
-                from .engine import advogato_on_matrix, pack_graph
+                from .engine import advogato_on_matrix, pack_graph  # deferred: sibling cycle
 
                 result = advogato_on_matrix(pack_graph(graph), seed, self)
             else:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
+from ..core.similarity import check_engine, engine_path
 from ..obs import NullSpan, Span, get_metrics, get_tracer
 
 from .graph import TrustGraph
@@ -107,14 +108,11 @@ class Appleseed:
         Appleseed paper (distrust must not propagate transitively —
         "the enemy of my enemy" is *not* my friend).
     engine:
-        ``"python"`` (default) runs the dict loops below — the oracle.
-        ``"numpy"`` runs whole sweeps as sparse matrix-vector products
-        over a packed :class:`~repro.perf.trustmatrix.TrustMatrix`;
-        ``"auto"`` picks numpy for graphs big enough to amortize the
-        pack.  Engines agree within 1e-9 (see
-        :mod:`repro.trust.engine`); the default stays on the oracle so
-        direct constructions remain bit-identical to the published
-        algorithm — entry points opt in explicitly.
+        ``"auto"`` (default) runs whole sweeps as sparse matrix-vector
+        products over the graph's packed
+        :class:`~repro.perf.trustmatrix.TrustMatrix`; ``"python"`` runs
+        the dict loops below, the oracle.  Engines
+        agree within 1e-9 (see :mod:`repro.trust.engine`).
     """
 
     def __init__(
@@ -126,7 +124,7 @@ class Appleseed:
         max_depth: int | None = None,
         distrust_mode: DistrustMode = "ignore",
         backward_propagation: bool = True,
-        engine: str = "python",
+        engine: str = "auto",
     ) -> None:
         if not 0.0 < spreading_factor < 1.0:
             raise ValueError("spreading_factor must lie strictly in (0, 1)")
@@ -140,8 +138,6 @@ class Appleseed:
             raise ValueError(f"unknown distrust_mode {distrust_mode!r}")
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be at least 1 when given")
-        if engine not in ("auto", "numpy", "python"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.spreading_factor = spreading_factor
         self.convergence_threshold = convergence_threshold
         self.max_iterations = max_iterations
@@ -149,7 +145,7 @@ class Appleseed:
         self.max_depth = max_depth
         self.distrust_mode = distrust_mode
         self.backward_propagation = backward_propagation
-        self.engine = engine
+        self.engine = check_engine(engine)
 
     # -- main algorithm -----------------------------------------------------
 
@@ -163,18 +159,10 @@ class Appleseed:
             raise KeyError(f"unknown source agent {source!r}")
         if self.max_depth is not None:
             graph = graph.within_horizon(source, self.max_depth)
-        from .engine import resolve_trust_engine  # deferred: sibling cycle
-
-        resolved = resolve_trust_engine(self.engine, size=len(graph))
-        with get_tracer().span(
-            "appleseed.compute",
-            source=source,
-            spreading_factor=self.spreading_factor,
-            convergence_threshold=self.convergence_threshold,
-            engine=resolved,
-        ) as span:
+        resolved = engine_path(self.engine, "trust.engine")
+        with self._span(source, resolved) as span:
             if resolved == "numpy":
-                from .engine import appleseed_on_matrix, pack_graph
+                from .engine import appleseed_on_matrix, pack_graph  # deferred: sibling cycle
 
                 result = appleseed_on_matrix(
                     pack_graph(graph), source, injection, self
@@ -183,6 +171,16 @@ class Appleseed:
                 result = self._compute_python(graph, source, injection)
             self._record(span, result)
         return result
+
+    def _span(self, source: str, path: str) -> Span | NullSpan:
+        """The ``appleseed.compute`` span of one computation on *path*."""
+        return get_tracer().span(
+            "appleseed.compute",
+            source=source,
+            spreading_factor=self.spreading_factor,
+            convergence_threshold=self.convergence_threshold,
+            engine=path,
+        )
 
     def _record(self, span: Span | NullSpan, result: AppleseedResult) -> None:
         """Convergence telemetry (§3.2: neighborhoods are *bounded and

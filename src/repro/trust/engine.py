@@ -1,101 +1,53 @@
-"""Engine selection and sharded fan-out for the group trust metrics.
+"""Packed-kernel drivers and sharded fan-out for the group trust metrics.
 
-Mirror of :mod:`repro.perf.engine` one layer down: every group metric
-(:class:`~repro.trust.appleseed.Appleseed`,
+Every group metric (:class:`~repro.trust.appleseed.Appleseed`,
 :class:`~repro.trust.advogato.Advogato`,
 :class:`~repro.trust.pagerank.PersonalizedPageRank`) takes an ``engine``
-switch —
+switch with the two values of :data:`repro.core.similarity.ENGINES`:
 
-* ``"python"`` — the dict implementations in this package.  Always
-  available; the oracle the vectorized path is property-tested against.
-* ``"numpy"``  — the packed CSR kernels of
-  :mod:`repro.perf.trustmatrix`.  Raises when numpy is missing.
-* ``"auto"``   — numpy when importable and the graph is big enough to
-  amortize packing, else python.
+* ``"auto"`` (the default) — the packed CSR kernels of
+  :mod:`repro.perf.trustmatrix`, run through the drivers below;
+* ``"python"`` — the dict implementations in this package, the
+  reference the kernels are property-tested against.
 
-Both engines agree within 1e-9 on continuous ranks and *exactly* on
-discrete outputs (Advogato's accepted set, neighborhood membership at
-threshold 0.0) — choosing an engine is a performance decision, never a
-semantic one.  The metric classes default to ``"python"`` so direct
-construction stays bit-identical to the published dict algorithms;
-entry points (experiments, the CLI) opt into ``"auto"`` explicitly —
-reprolint RL009 flags entry-point call sites that silently bypass the
-choice.
+Both agree within 1e-9 on continuous ranks and *exactly* on discrete
+outputs (Advogato's accepted set, neighborhood membership at threshold
+0.0) — choosing an engine is a performance decision, never a semantic
+one.
 
 :func:`rank_many` adds partition-by-source sharding: the packed matrix
 is read-only and picklable, so multi-source sweeps fan contiguous
 source chunks out to :class:`~repro.perf.parallel.ParallelExperimentRunner`
 workers and merge in submission order — byte-identical for any worker
 count.
-
-All ``perf`` imports below are function-local: ``trust -> perf`` is a
-*lazy-only* edge in the RL100 layering contract, keeping the trust
-package importable (python engine intact) on numpy-less installs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import partial
-from typing import TYPE_CHECKING, Optional
 
+from ..core.similarity import engine_path
 from ..obs import get_metrics, get_tracer
+from ..perf.parallel import ParallelExperimentRunner, split_evenly
+from ..perf.trustmatrix import (
+    TrustMatrix,
+    appleseed_spread,
+    bfs_order_levels,
+    distrust_discount,
+    level_capacities,
+    pagerank_power,
+)
 
+from .advogato import Advogato, AdvogatoResult
 from .appleseed import Appleseed, AppleseedResult
 from .graph import TrustGraph
 from .maxflow import FlowNetwork
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..perf.parallel import ParallelExperimentRunner
-    from ..perf.trustmatrix import TrustMatrix
-    from .advogato import Advogato, AdvogatoResult
-
-__all__ = [
-    "TRUST_AUTO_THRESHOLD",
-    "numpy_trust_available",
-    "pack_graph",
-    "rank_many",
-    "resolve_trust_engine",
-]
-
-#: Below this many nodes, ``engine="auto"`` stays on the python path:
-#: packing a CSR per call costs more than dict loops over a toy graph.
-TRUST_AUTO_THRESHOLD = 64
-
-_ENGINES = ("auto", "numpy", "python")
+__all__ = ["pack_graph", "rank_many"]
 
 
-def numpy_trust_available() -> bool:
-    """Whether the numpy trust engine can run in this interpreter."""
-    from ..perf.engine import numpy_available  # lazy: allowlisted trust->perf
-
-    return numpy_available()
-
-
-def resolve_trust_engine(engine: str = "auto", size: int | None = None) -> str:
-    """Resolve an ``engine`` switch to ``"numpy"`` or ``"python"``.
-
-    *size* is the node count of the graph about to be packed; pass
-    ``None`` when a packed matrix already exists (e.g. inside
-    :func:`rank_many`, which amortizes one pack over many sources).
-    """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {_ENGINES})")
-    if engine == "numpy":
-        if not numpy_trust_available():
-            raise RuntimeError("engine='numpy' requested but numpy is not installed")
-        resolved = "numpy"
-    elif engine == "python" or not numpy_trust_available():
-        resolved = "python"
-    elif size is not None and size < TRUST_AUTO_THRESHOLD:
-        resolved = "python"
-    else:
-        resolved = "numpy"
-    get_metrics().counter(f"trust.engine.selected.{resolved}").inc()
-    return resolved
-
-
-def pack_graph(graph: TrustGraph) -> "TrustMatrix":
+def pack_graph(graph: TrustGraph) -> TrustMatrix:
     """*graph* as a :class:`~repro.perf.trustmatrix.TrustMatrix`.
 
     The graph keeps its pack until its next mutation, so this packs only
@@ -106,9 +58,7 @@ def pack_graph(graph: TrustGraph) -> "TrustMatrix":
     return graph.packed(_pack)
 
 
-def _pack(graph: TrustGraph) -> "TrustMatrix":
-    from ..perf.trustmatrix import TrustMatrix  # lazy: allowlisted trust->perf
-
+def _pack(graph: TrustGraph) -> TrustMatrix:
     with get_tracer().span(
         "trustmatrix.pack", nodes=len(graph), edges=graph.edge_count()
     ) as span:
@@ -122,7 +72,7 @@ def _pack(graph: TrustGraph) -> "TrustMatrix":
 
 
 def appleseed_on_matrix(
-    matrix: "TrustMatrix",
+    matrix: TrustMatrix,
     source: str,
     injection: float,
     metric: Appleseed,
@@ -134,10 +84,8 @@ def appleseed_on_matrix(
     the ``appleseed.compute`` span; this assembles the result exactly as
     the dict oracle shapes it, zero-rank frontier entries included.
     """
-    from ..perf import trustmatrix as tm  # lazy: allowlisted trust->perf
-
     index = matrix.index[source]
-    rank, member, iterations, converged, history = tm.appleseed_spread(
+    rank, member, iterations, converged, history = appleseed_spread(
         matrix,
         index,
         injection,
@@ -148,7 +96,7 @@ def appleseed_on_matrix(
         backward_propagation=metric.backward_propagation,
     )
     if metric.distrust_mode == "one_step":
-        rank = tm.distrust_discount(
+        rank = distrust_discount(
             matrix, index, rank, member, metric.spreading_factor
         )
     values = rank.tolist()
@@ -168,8 +116,8 @@ def appleseed_on_matrix(
 
 
 def advogato_on_matrix(
-    matrix: "TrustMatrix", seed: str, metric: "Advogato"
-) -> "AdvogatoResult":
+    matrix: TrustMatrix, seed: str, metric: Advogato
+) -> AdvogatoResult:
     """Run one Advogato certification with vectorized levels/capacities.
 
     BFS discovery order and level capacities come from the CSR kernels;
@@ -177,18 +125,15 @@ def advogato_on_matrix(
     iteration order, so Dinic routes the same units over the same arcs
     and the accepted set is *identical*, not merely close.
     """
-    from ..perf import trustmatrix as tm  # lazy: allowlisted trust->perf
-    from .advogato import AdvogatoResult
-
     index = matrix.index[seed]
-    order, level = tm.bfs_order_levels(matrix, index)
+    order, level = bfs_order_levels(matrix, index)
     if metric.explicit_capacities is not None:
         sequence = [max(1, c) for c in metric.explicit_capacities]
         last = sequence[-1]
         while len(sequence) <= int(level[order].max(initial=0)):
             sequence.append(last)
     else:
-        sequence = tm.level_capacities(
+        sequence = level_capacities(
             matrix, order, level, metric.target_size, metric.MIN_DECAY
         )
     reached = order.tolist()
@@ -224,17 +169,15 @@ def advogato_on_matrix(
 
 
 def pagerank_on_matrix(
-    matrix: "TrustMatrix",
+    matrix: TrustMatrix,
     source: str,
     alpha: float,
     tolerance: float,
     max_iterations: int,
 ) -> tuple[dict[str, float], int, bool]:
     """Run one personalized-PageRank power iteration over the CSR."""
-    from ..perf import trustmatrix as tm  # lazy: allowlisted trust->perf
-
     index = matrix.index[source]
-    rank, iterations, converged = tm.pagerank_power(
+    rank, iterations, converged = pagerank_power(
         matrix, index, alpha, tolerance, max_iterations
     )
     values = rank.tolist()
@@ -276,19 +219,13 @@ def _rank_chunk(
     kind, payload, settings, injection = state
     metric = Appleseed(**settings)  # type: ignore[arg-type]
     if kind == "matrix":
-        matrix: "TrustMatrix" = payload  # type: ignore[assignment]
+        matrix: TrustMatrix = payload  # type: ignore[assignment]
         results = []
         for source in chunk:
             # Same span + metrics contract as Appleseed.compute, so a
             # sharded sweep leaves the same evidence a source-by-source
             # loop would (null tracer — hence free — inside workers).
-            with get_tracer().span(
-                "appleseed.compute",
-                source=source,
-                spreading_factor=metric.spreading_factor,
-                convergence_threshold=metric.convergence_threshold,
-                engine="numpy",
-            ) as span:
+            with metric._span(source, "numpy") as span:
                 result = appleseed_on_matrix(matrix, source, injection, metric)
                 metric._record(span, result)
             results.append(result)
@@ -304,7 +241,7 @@ def rank_many(
     metric: Appleseed | None = None,
     injection: float = 200.0,
     engine: str = "auto",
-    runner: Optional["ParallelExperimentRunner"] = None,
+    runner: ParallelExperimentRunner | None = None,
 ) -> list[AppleseedResult]:
     """Appleseed ranks for many sources over one shared packed matrix.
 
@@ -315,17 +252,19 @@ def rank_many(
     for any worker count, including the serial in-process path used
     when *runner* is ``None``.
 
-    With the numpy engine (and no exploration horizon) the payload is
-    the packed :class:`~repro.perf.trustmatrix.TrustMatrix`; with the
-    python engine — or a ``max_depth`` horizon, which needs per-source
-    subgraphs — it is the graph itself and each worker runs the oracle.
+    With ``engine="auto"`` (and no exploration horizon) the payload is
+    the packed :class:`~repro.perf.trustmatrix.TrustMatrix`; with
+    ``"python"`` — or a ``max_depth`` horizon, which needs per-source
+    subgraphs — it is the graph itself and each worker runs
+    :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`
+    with this *engine*.
     """
     metric = metric or Appleseed()
     work = list(sources)
     for source in work:
         if source not in graph:
             raise KeyError(f"unknown source agent {source!r}")
-    resolved = resolve_trust_engine(engine, size=len(graph))
+    resolved = engine_path(engine, "trust.engine")
     metrics = get_metrics()
     with get_tracer().span(
         "trust.rank_many",
@@ -342,13 +281,11 @@ def rank_many(
             )
         else:
             settings = _metric_settings(metric)
-            settings["engine"] = resolved
+            settings["engine"] = engine
             state = ("graph", graph, settings, injection)
         if runner is None:
             results = _rank_chunk(state, work)
         else:
-            from ..perf.parallel import split_evenly  # lazy trust->perf
-
             chunks = split_evenly(work, runner.effective_workers())
             results = [
                 result

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.similarity import check_engine, engine_path
+
 from .graph import TrustGraph
 
 __all__ = ["PersonalizedPageRank", "PageRankResult"]
@@ -55,10 +57,10 @@ class PersonalizedPageRank:
     max_iterations:
         Safety cap; hitting it sets ``converged=False``.
     engine:
-        ``"python"`` (default) iterates adjacency lists; ``"numpy"``/
-        ``"auto"`` run the power iteration as scatter-adds over a packed
-        :class:`~repro.perf.trustmatrix.TrustMatrix` (agreement within
-        1e-9, see :mod:`repro.trust.engine`).
+        ``"auto"`` (default) runs the power iteration as scatter-adds
+        over the graph's packed :class:`~repro.perf.trustmatrix.TrustMatrix`;
+        ``"python"`` iterates adjacency lists, the oracle (agreement
+        within 1e-9, see :mod:`repro.trust.engine`).
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class PersonalizedPageRank:
         alpha: float = 0.85,
         tolerance: float = 1e-8,
         max_iterations: int = 500,
-        engine: str = "python",
+        engine: str = "auto",
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly in (0, 1)")
@@ -74,12 +76,10 @@ class PersonalizedPageRank:
             raise ValueError("tolerance must be positive")
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if engine not in ("auto", "numpy", "python"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.alpha = alpha
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.engine = engine
+        self.engine = check_engine(engine)
 
     def compute(self, graph: TrustGraph, source: str) -> PageRankResult:
         """Run personalized PageRank from *source* over positive edges.
@@ -91,10 +91,8 @@ class PersonalizedPageRank:
         """
         if source not in graph:
             raise KeyError(f"unknown source agent {source!r}")
-        from .engine import resolve_trust_engine  # deferred: sibling cycle
-
-        if resolve_trust_engine(self.engine, size=len(graph)) == "numpy":
-            from .engine import pack_graph, pagerank_on_matrix
+        if engine_path(self.engine, "trust.engine") == "numpy":
+            from .engine import pack_graph, pagerank_on_matrix  # deferred: sibling cycle
 
             ranks, iterations, converged = pagerank_on_matrix(
                 pack_graph(graph),

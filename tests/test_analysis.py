@@ -316,44 +316,6 @@ class TestRL008SharedDatasetMutation:
         assert lint_source(source) == []
 
 
-class TestRL009HardwiredTrustEngine:
-    EVAL_PATH = "src/repro/evaluation/experiments.py"
-
-    def test_chained_compute_without_engine_triggers(self):
-        source = "r = Appleseed().compute(graph, source)\n"
-        assert "RL009" in codes_of(lint_source(source, path=self.EVAL_PATH))
-
-    def test_cli_module_is_in_scope(self):
-        source = "r = Advogato(target_size=5).compute(graph, source)\n"
-        assert "RL009" in codes_of(lint_source(source, path="src/repro/cli.py"))
-
-    def test_engine_keyword_is_clean(self):
-        source = "r = Appleseed(engine=engine).compute(graph, source)\n"
-        assert lint_source(source, path=self.EVAL_PATH) == []
-
-    def test_unchained_construction_is_clean(self):
-        # Metric handed to rank_many — the resolver runs inside rank_many.
-        source = (
-            "metric = Appleseed(spreading_factor=d)\n"
-            "rows = rank_many(graph, sources, metric=metric)\n"
-        )
-        assert lint_source(source, path=self.EVAL_PATH) == []
-
-    def test_library_layers_are_out_of_scope(self):
-        source = "r = Appleseed().compute(graph, source)\n"
-        assert lint_source(source, path="src/repro/trust/appleseed.py") == []
-
-    def test_pagerank_triggers(self):
-        source = "r = PersonalizedPageRank().compute(graph, s)\n"
-        assert "RL009" in codes_of(lint_source(source, path=self.EVAL_PATH))
-
-    def test_suppression_silences(self):
-        source = (
-            "r = Appleseed().compute(graph, s)  # reprolint: disable=RL009\n"
-        )
-        assert lint_source(source, path=self.EVAL_PATH) == []
-
-
 class TestRL010BenchSchemaBypass:
     def test_direct_write_text_triggers(self):
         source = 'Path("BENCH_scale.json").write_text(json.dumps(doc))\n'

@@ -18,10 +18,8 @@ from repro.evaluation.benchtrack import (
 )
 from repro.obs import strip_durations, validate_trace
 
-pytest.importorskip("numpy")
-
-#: One tiny rung keeps the driver tests fast; python engine below the
-#: TRUST_AUTO_THRESHOLD, which is fine — the document shape is the same.
+#: One tiny rung keeps the driver tests fast; the document shape is the
+#: same at every size.
 SIZES = (24,)
 
 

@@ -191,9 +191,6 @@ class TestReplicationTelemetry:
 
 class TestEngineAndCacheTelemetry:
     def test_matrix_cache_hit_miss_counters(self):
-        import pytest
-
-        np = pytest.importorskip("numpy")  # noqa: F841 - matrix path needs numpy
         from repro.core.profiles import TaxonomyProfileBuilder
         from repro.core.recommender import ProfileStore
 
@@ -210,11 +207,25 @@ class TestEngineAndCacheTelemetry:
         assert registry.counter("similarity.matrix_cache.hit").value == 1
 
     def test_engine_selection_counter(self):
-        from repro.perf.engine import resolve_engine
+        """Each computation counts the path it took, once."""
+        from repro.core.profiles import TaxonomyProfileBuilder
+        from repro.core.recommender import ProfileStore, SemanticWebRecommender
 
+        community = _small_community(seed=17)
+        dataset = community.dataset
+        graph = TrustGraph.from_dataset(dataset)
+        store = ProfileStore(dataset, TaxonomyProfileBuilder(community.taxonomy))
+        agent = sorted(dataset.agents)[0]
+        peers = set(sorted(dataset.agents)[1:4])
         with collecting() as registry:
-            assert resolve_engine("python") == "python"
-        assert registry.counter("engine.selected.python").value == 1
+            for engine in ("auto", "python"):
+                SemanticWebRecommender(
+                    dataset=dataset, graph=graph, profiles=store, engine=engine
+                ).similarities(agent, peers)
+                Appleseed(engine=engine).compute(graph, agent)
+        for family in ("engine", "trust.engine"):
+            for path in ("numpy", "python"):
+                assert registry.counter(f"{family}.selected.{path}").value == 1
 
 
 class TestFetchTelemetry:

@@ -14,17 +14,21 @@ one-pass kernel algebra and the two-pass oracle.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.core.profiles import TaxonomyProfileBuilder, product_profile
 from repro.core.recommender import ProfileStore
 from repro.core.similarity import cosine, pearson, top_similar
-from repro.perf.engine import community_scores, rank_profiles, resolve_engine
-from repro.perf.kernels import similarity_many, top_k, top_k_pairs
+from repro.perf.kernels import (
+    community_scores,
+    rank_profiles,
+    similarity_many,
+    top_k,
+    top_k_pairs,
+)
 from repro.perf.matrix import ProfileMatrix, TopicVocabulary
 
 TOL = 1e-9
@@ -38,6 +42,20 @@ _COMBOS = [
     ("pearson", "intersection"),
     ("cosine", "union"),
     ("cosine", "intersection"),
+]
+
+
+#: Every measure/domain pair under every ``top_similar`` limit, the
+#: non-positive ones included; unlimited cases keep their plain ids.
+_RANKING_CASES = [
+    pytest.param(
+        measure,
+        domain,
+        limit,
+        id=f"{measure}-{domain}" + ("" if limit is None else f"-limit{limit}"),
+    )
+    for limit in (None, 3, 0, -1)
+    for measure, domain in _COMBOS
 ]
 
 
@@ -189,8 +207,8 @@ class TestCommunityAgreement:
                     oracle(target, profiles[identifier], domain), abs=TOL
                 )
 
-    @pytest.mark.parametrize("measure,domain", _COMBOS)
-    def test_top_similar_rankings_agree(self, small_community, measure, domain):
+    @pytest.mark.parametrize("measure,domain,limit", _RANKING_CASES)
+    def test_top_similar_rankings_agree(self, small_community, measure, domain, limit):
         store = ProfileStore(
             small_community.dataset, TaxonomyProfileBuilder(small_community.taxonomy)
         )
@@ -199,24 +217,15 @@ class TestCommunityAgreement:
         for target_agent in agents[:3]:
             target = profiles[target_agent]
             py = top_similar(
-                target, profiles, measure=measure, domain=domain, engine="python"
+                target, profiles, measure=measure, domain=domain, limit=limit, engine="python"
             )
             nu = top_similar(
-                target, profiles, measure=measure, domain=domain, engine="numpy"
+                target, profiles, measure=measure, domain=domain, limit=limit, engine="auto"
             )
             assert _canonical(py) == _canonical(nu)
 
 
 class TestEngineSelection:
-    def test_resolve_engine_values(self):
-        assert resolve_engine("python") == "python"
-        assert resolve_engine("numpy") == "numpy"
-        assert resolve_engine("auto", size=4) == "python"  # below pack threshold
-        assert resolve_engine("auto", size=10_000) == "numpy"
-        assert resolve_engine("auto") == "numpy"  # cached-matrix callers
-        with pytest.raises(ValueError):
-            resolve_engine("fortran")
-
     def test_pruning_matches_unpruned_scores(self, small_community):
         """The inverted-index shortcut may never change a single score."""
         store = ProfileStore(

@@ -26,9 +26,8 @@ from repro.core.recommender import (
     _rank_votes,
     _vote_scores,
 )
+from repro.trust.appleseed import Appleseed
 from repro.trust.graph import TrustGraph
-
-pytest.importorskip("numpy")
 
 
 def _rounded(items: list[Recommendation]) -> list[tuple[str, float]]:
@@ -92,7 +91,7 @@ class TestProfileStoreInvalidate:
 
 
 class TestEngineEquivalence:
-    """engine="numpy" and engine="python" must recommend identically."""
+    """engine="auto" and engine="python" must recommend identically."""
 
     def _agents(self, small_community, count=4):
         return sorted(small_community.dataset.agents)[:count]
@@ -105,7 +104,7 @@ class TestEngineEquivalence:
             dataset=dataset, representation=representation, engine="python", **kwargs
         )
         numpy_ = PureCFRecommender(
-            dataset=dataset, representation=representation, engine="numpy", **kwargs
+            dataset=dataset, representation=representation, engine="auto", **kwargs
         )
         for agent in self._agents(small_community):
             py_weights = {
@@ -119,22 +118,35 @@ class TestEngineEquivalence:
                 python.recommend(agent)
             )
 
-    def test_semantic_web_similarities(self, small_community, store):
+    @pytest.mark.parametrize("bounded", [False, True], ids=["open", "bounded"])
+    def test_semantic_web_similarities(self, small_community, store, bounded):
+        """The whole pipeline, formation included, on both engines.
+
+        The bounded formation is the one the benchmark serves: horizon
+        subgraphs of a few dozen nodes, held to the dict oracle too.
+        """
         dataset = small_community.dataset
         graph = TrustGraph.from_dataset(dataset)
 
         def build(engine: str) -> SemanticWebRecommender:
+            if bounded:
+                formation = NeighborhoodFormation(
+                    metric=Appleseed(max_depth=3, engine=engine), max_peers=50
+                )
+            else:
+                formation = NeighborhoodFormation(engine=engine)
             return SemanticWebRecommender(
                 dataset=dataset,
                 graph=graph,
                 profiles=store,
-                formation=NeighborhoodFormation(),
+                formation=formation,
                 engine=engine,
             )
 
-        python, numpy_ = build("python"), build("numpy")
+        python, numpy_ = build("python"), build("auto")
         for agent in self._agents(small_community):
             peers = python.neighborhood(agent).members()
+            assert numpy_.neighborhood(agent).members() == peers
             py = python.similarities(agent, peers)
             nu = numpy_.similarities(agent, peers)
             assert set(py) == set(nu) == peers
@@ -151,7 +163,7 @@ class TestEngineEquivalence:
             dataset=dataset,
             graph=TrustGraph.from_dataset(dataset),
             profiles=store,
-            engine="numpy",
+            engine="auto",
         )
         agent = sorted(dataset.agents)[0]
         peers = {sorted(dataset.agents)[1], "http://elsewhere.example.org/ghost"}

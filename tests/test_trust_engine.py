@@ -16,20 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.neighborhood import NeighborhoodFormation
+from repro.core.profiles import TaxonomyProfileBuilder
+from repro.core.recommender import ProfileStore, PureCFRecommender, SemanticWebRecommender
+from repro.core.similarity import top_similar
+from repro.core.taxonomy import figure1_fragment
 from repro.trust.advogato import Advogato
 from repro.trust.appleseed import Appleseed
-from repro.trust.engine import (
-    TRUST_AUTO_THRESHOLD,
-    numpy_trust_available,
-    rank_many,
-    resolve_trust_engine,
-)
+from repro.trust.engine import rank_many
 from repro.trust.graph import TrustGraph
 from repro.trust.pagerank import PersonalizedPageRank
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_trust_available(), reason="numpy engine not available"
-)
 
 # -- strategies --------------------------------------------------------------
 
@@ -71,7 +67,7 @@ def trust_graphs(draw) -> tuple[TrustGraph, list[str]]:
 
 
 def _dense_graph(seed: int = 97, n: int = 60, edges: int = 300) -> TrustGraph:
-    """A fixed seeded graph big enough for auto to resolve to numpy."""
+    """A fixed seeded graph for the sweep tests."""
     rng = random.Random(seed)
     nodes = [f"http://t.example.org/d{i:03d}" for i in range(n)]
     graph = TrustGraph()
@@ -110,7 +106,6 @@ APPLESEED_CONFIGS = [
 # -- appleseed parity --------------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize("config", APPLESEED_CONFIGS)
 @settings(
     max_examples=20,
@@ -123,7 +118,7 @@ def test_appleseed_numpy_matches_oracle(config, data):
     graph, nodes = data.draw(trust_graphs())
     source = data.draw(st.sampled_from(nodes))
     python = Appleseed(engine="python", **config).compute(graph, source)
-    vectorized = Appleseed(engine="numpy", **config).compute(graph, source)
+    vectorized = Appleseed(engine="auto", **config).compute(graph, source)
     _assert_rank_parity(python, vectorized)
     assert vectorized.iterations == python.iterations
     assert vectorized.converged == python.converged
@@ -133,7 +128,6 @@ def test_appleseed_numpy_matches_oracle(config, data):
         assert numpy_delta == pytest.approx(python_delta, abs=1e-9)
 
 
-@requires_numpy
 @settings(
     max_examples=20,
     deadline=None,
@@ -144,13 +138,12 @@ def test_pagerank_numpy_matches_oracle(data):
     graph, nodes = data.draw(trust_graphs())
     source = data.draw(st.sampled_from(nodes))
     python = PersonalizedPageRank(engine="python").compute(graph, source)
-    vectorized = PersonalizedPageRank(engine="numpy").compute(graph, source)
+    vectorized = PersonalizedPageRank(engine="auto").compute(graph, source)
     _assert_rank_parity(python, vectorized)
     assert vectorized.iterations == python.iterations
     assert vectorized.converged == python.converged
 
 
-@requires_numpy
 @settings(
     max_examples=20,
     deadline=None,
@@ -165,7 +158,7 @@ def test_advogato_numpy_matches_oracle_exactly(data):
     seed = data.draw(st.sampled_from(nodes))
     target_size = data.draw(st.integers(min_value=1, max_value=20))
     python = Advogato(target_size=target_size, engine="python").compute(graph, seed)
-    vectorized = Advogato(target_size=target_size, engine="numpy").compute(graph, seed)
+    vectorized = Advogato(target_size=target_size, engine="auto").compute(graph, seed)
     assert vectorized.accepted == python.accepted
     assert vectorized.total_flow == python.total_flow
     assert vectorized.capacities == python.capacities
@@ -177,18 +170,16 @@ def test_advogato_numpy_matches_oracle_exactly(data):
 class TestEdgeCases:
     def _both(self, graph, source, **config):
         python = Appleseed(engine="python", **config).compute(graph, source)
-        vectorized = Appleseed(engine="numpy", **config).compute(graph, source)
+        vectorized = Appleseed(engine="auto", **config).compute(graph, source)
         _assert_rank_parity(python, vectorized)
         assert vectorized.neighborhood(0.0) == python.neighborhood(0.0)
         return python
 
-    @requires_numpy
     def test_dangling_sink_absorbs_energy(self):
         graph = TrustGraph.from_edges([("a", "b", 0.9)])
         result = self._both(graph, "a")
         assert result.ranks["b"] > 0.0
 
-    @requires_numpy
     def test_tiny_nonlinear_weight_keeps_the_source_quota_exact(self):
         # The source's denominator was once (w**2 + 1) - 1, which lost the
         # low digits of w**2 = 1e-6 and put b's rank 2.7e-8 off the oracle.
@@ -196,7 +187,6 @@ class TestEdgeCases:
         result = self._both(graph, "a", normalization="nonlinear")
         assert result.ranks["b"] > 0.0
 
-    @requires_numpy
     def test_disconnected_source_ranks_nobody(self):
         graph = TrustGraph.from_edges([("a", "b", 0.9)])
         graph.add_node("loner")
@@ -204,7 +194,6 @@ class TestEdgeCases:
         assert result.ranks == {}
         assert result.converged
 
-    @requires_numpy
     def test_all_negative_edges_rank_nobody(self):
         graph = TrustGraph.from_edges(
             [("a", "b", -0.9), ("a", "c", -0.4), ("b", "c", -1.0)]
@@ -217,14 +206,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             graph.add_edge("a", "a", 0.5)
 
-    @requires_numpy
     def test_matrix_rejects_self_loops(self):
         from repro.perf.trustmatrix import TrustMatrix
 
         with pytest.raises(ValueError):
             TrustMatrix.from_edges([("a", "a", 0.5)])
 
-    @requires_numpy
     def test_edge_back_to_source_matches_oracle(self):
         # A real positive edge pointing at the source is replaced by the
         # virtual backward edge in the oracle's quota; the kernel must
@@ -235,32 +222,42 @@ class TestEdgeCases:
         self._both(graph, "a")
 
 
-# -- resolver ----------------------------------------------------------------
+# -- engine values -----------------------------------------------------------
 
 
 class TestResolver:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_trust_engine("fortran")
-
-    def test_python_pins_the_oracle(self):
-        assert resolve_trust_engine("python", size=10**6) == "python"
-
-    @requires_numpy
-    def test_auto_keeps_small_graphs_on_the_oracle(self):
-        assert resolve_trust_engine("auto", size=TRUST_AUTO_THRESHOLD - 1) == "python"
-        assert resolve_trust_engine("auto", size=TRUST_AUTO_THRESHOLD) == "numpy"
-
-    def test_metric_constructors_validate_engine(self):
-        for metric in (Appleseed, PersonalizedPageRank, Advogato):
-            with pytest.raises(ValueError):
-                metric(engine="fortran")
+    def test_metric_constructors_validate_engine(self, tiny_dataset):
+        """Every API with an ``engine`` takes exactly "auto" and "python"."""
+        graph = TrustGraph.from_dataset(tiny_dataset)
+        taxonomy = figure1_fragment()
+        store = ProfileStore(tiny_dataset, TaxonomyProfileBuilder(taxonomy))
+        source = sorted(tiny_dataset.agents)[0]
+        apis = [
+            Appleseed,
+            PersonalizedPageRank,
+            Advogato,
+            NeighborhoodFormation,
+            lambda engine: SemanticWebRecommender(
+                dataset=tiny_dataset, graph=graph, profiles=store, engine=engine
+            ),
+            lambda engine: SemanticWebRecommender.from_dataset(
+                tiny_dataset, taxonomy, engine=engine
+            ),
+            lambda engine: PureCFRecommender(
+                dataset=tiny_dataset, profiles=store, engine=engine
+            ),
+            lambda engine: top_similar({}, {}, engine=engine),
+            lambda engine: rank_many(graph, [source], engine=engine),
+        ]
+        for api in apis:
+            for engine in ("numpy", "fortran"):
+                with pytest.raises(ValueError):
+                    api(engine=engine)
 
 
 # -- sharded sweeps ----------------------------------------------------------
 
 
-@requires_numpy
 class TestRankMany:
     def test_identical_across_worker_counts(self):
         """Serial and 1/2/8-worker sharded sweeps return equal results."""
@@ -268,18 +265,18 @@ class TestRankMany:
 
         graph = _dense_graph()
         sources = sorted(graph.nodes())[:24]
-        serial = rank_many(graph, sources, engine="numpy")
+        serial = rank_many(graph, sources, engine="auto")
         assert [r.source for r in serial] == sources
         for workers in (1, 2, 8):
             runner = ParallelExperimentRunner(max_workers=workers)
-            sharded = rank_many(graph, sources, engine="numpy", runner=runner)
+            sharded = rank_many(graph, sources, engine="auto", runner=runner)
             assert sharded == serial
 
     def test_numpy_sweep_matches_oracle_sweep(self):
         graph = _dense_graph()
         sources = sorted(graph.nodes())[:8]
         oracle = rank_many(graph, sources, engine="python")
-        vectorized = rank_many(graph, sources, engine="numpy")
+        vectorized = rank_many(graph, sources, engine="auto")
         for python, numpy_result in zip(oracle, vectorized):
             assert numpy_result.source == python.source
             _assert_rank_parity(python, numpy_result)
@@ -290,9 +287,9 @@ class TestRankMany:
         graph = _dense_graph()
         sources = sorted(graph.nodes())[:4]
         metric = Appleseed(max_depth=2)
-        swept = rank_many(graph, sources, metric=metric, engine="numpy")
+        swept = rank_many(graph, sources, metric=metric, engine="auto")
         for result in swept:
-            direct = Appleseed(max_depth=2, engine="numpy").compute(
+            direct = Appleseed(max_depth=2, engine="auto").compute(
                 graph, result.source
             )
             assert result == direct
