@@ -2,7 +2,8 @@
 
 All wall-clock measurement here goes through
 :class:`repro.obs.Stopwatch` — the repo's single monotonic-timing
-helper (``time.time()`` for durations is banned by reprolint RL007).
+helper (``time.time()`` can step backwards, so it never times a
+duration).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ def test_ex19_engine(benchmark):
                 "max_delta": float(max_delta),
             }
         )
-    OUTPUT.write_text(  # reprolint: disable=RL010  (predates repro-bench/1)
+    OUTPUT.write_text(  # legacy schema, predates repro-bench/1
         json.dumps(
             {"smoke": SMOKE, "principals": PRINCIPALS, "sizes": records}, indent=2
         )

@@ -47,7 +47,7 @@ def test_ex22_dynamics(benchmark):
                 "hybrid_precision": float(hybrid_p),
             }
         )
-    OUTPUT.write_text(  # reprolint: disable=RL010  (predates repro-bench/1)
+    OUTPUT.write_text(  # legacy schema, predates repro-bench/1
         json.dumps({"smoke": SMOKE, "trajectory": records}, indent=2) + "\n"
     )
 

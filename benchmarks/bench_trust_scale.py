@@ -146,7 +146,7 @@ def test_trust_scale():
             runner = ParallelExperimentRunner(max_workers=workers)
             assert rank_many(graph, sources, engine="auto", runner=runner) == serial
 
-    OUTPUT.write_text(  # reprolint: disable=RL010  (predates repro-bench/1)
+    OUTPUT.write_text(  # legacy schema, predates repro-bench/1
         json.dumps({"smoke": SMOKE, "seed": SEED, "sizes": records}, indent=2) + "\n"
     )
     print(f"wrote {OUTPUT.name}")

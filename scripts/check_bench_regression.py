@@ -2,9 +2,9 @@
 """Gate: a fresh ``repro bench`` document vs. the committed trajectory.
 
 Compares a candidate ``BENCH_scale.json`` (schema ``repro-bench/1``,
-written only by :func:`repro.evaluation.benchtrack.write_bench` —
-reprolint RL010) against a baseline document, phase by phase at every
-community size both documents declare.
+written only by :func:`repro.evaluation.benchtrack.write_bench`) against
+a baseline document, phase by phase at every community size both
+documents declare.
 
 The comparison is noise-aware: phase ``wall_ms`` may grow by a relative
 *threshold* (default +50%) plus an absolute floor (default 20 ms) before

@@ -1,31 +1,19 @@
-"""Command-line front end for reprolint + reprograph.
+"""Command-line front end for reprolint.
 
-Invoked as ``repro lint`` (via :mod:`repro.cli`) or directly as
+Invoked as ``repro lint`` (via :mod:`repro.cli`, which declares its
+subcommand with :func:`add_arguments`) or directly as
 ``python -m repro.analysis``::
 
     python -m repro.analysis src/repro            # human output
     python -m repro.analysis src --format json    # machine output
-    python -m repro.analysis src --format sarif   # SARIF 2.1.0 to stdout
-    python -m repro.analysis src --sarif out.sarif
     python -m repro.analysis src --select RL001,RL100
-    python -m repro.analysis src tests --baseline .reprolint-baseline.json
-    python -m repro.analysis src --baseline b.json --write-baseline
-    python -m repro.analysis src --effects effects.json
+    python -m repro.analysis --list-rules .
 
-Every invocation runs the per-file rules (RL001–RL010) *and* the
-whole-program rules (RL100–RL104 reprograph, RL200–RL203 effect
-inference) in one pass.  ``--effects FILE`` additionally serializes the
-inferred per-function effect table (``-`` for stdout) so purity
-regressions show up as diffs.
+Every invocation runs the per-file rules and the whole-program rules in
+one pass.
 
-With ``--baseline FILE``, findings matching the committed baseline are
-reported as tracked legacy debt and do not fail the run; new findings
-and stale baseline entries do.  ``--write-baseline`` regenerates the
-file from the current findings and exits 0.
-
-Exit status: 0 when clean (or all findings baselined), 1 when new
-findings or stale baseline entries remain, 2 on usage errors (missing
-paths, unknown rule codes, unreadable baseline).
+Exit status: 0 when clean, 1 when findings remain, 2 on usage errors
+(missing paths, unknown rule codes).
 """
 
 from __future__ import annotations
@@ -35,26 +23,14 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .baseline import Baseline
-from .effects import format_effect_table
-from .engine import Finding, LintEngine, format_findings, format_findings_json
+from .engine import LintEngine, format_findings, format_findings_json
 from .rules import DEFAULT_GRAPH_RULES, DEFAULT_RULES, all_rule_codes
-from .sarif import format_findings_sarif
-from .symbols import ProjectIndex
 
-__all__ = ["build_parser", "main", "run_lint"]
+__all__ = ["add_arguments", "main", "run_lint"]
 
 
-def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description=(
-            "reprolint: domain-aware static analysis for the reproduction "
-            "(score ranges, engine-equivalence tolerance, seeded "
-            "randomness, deterministic ordering, layering contracts, "
-            "web-content taint, fork safety)"
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint arguments on *parser* (shared with ``repro lint``)."""
     parser.add_argument(
         "paths",
         nargs="+",
@@ -62,7 +38,7 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["human", "json", "sarif"],
+        choices=["human", "json"],
         default="human",
         help="output format (default: human)",
     )
@@ -73,49 +49,10 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 report to FILE",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of accepted legacy findings; matching findings "
-            "don't fail the run, stale entries do"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate --baseline FILE from the current findings and exit",
-    )
-    parser.add_argument(
-        "--effects",
-        default=None,
-        metavar="FILE",
-        help=(
-            "also write the inferred per-function effect table as "
-            "deterministic JSON ('-' for stdout)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    return parser
-
-
-def _print_report(args: argparse.Namespace, findings: list[Finding]) -> None:
-    if args.format == "json":
-        print(format_findings_json(findings))
-    elif args.format == "sarif":
-        print(format_findings_sarif(findings))
-    else:
-        print(format_findings(findings))
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -142,79 +79,28 @@ def run_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
-    if args.write_baseline and args.baseline is None:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
 
     engine = LintEngine(
         DEFAULT_RULES, select=select, graph_rules=DEFAULT_GRAPH_RULES
     )
     findings = engine.lint_project(args.paths)
-
-    if getattr(args, "effects", None) is not None:
-        table = format_effect_table(
-            ProjectIndex.build(LintEngine.discover(args.paths))
-        )
-        if args.effects == "-":
-            print(table)
-        else:
-            Path(args.effects).write_text(table + "\n", encoding="utf-8")
-
-    def write_sarif(reported: list[Finding]) -> None:
-        if args.sarif is not None:
-            Path(args.sarif).write_text(
-                format_findings_sarif(reported) + "\n", encoding="utf-8"
-            )
-
-    if args.baseline is None:
-        write_sarif(findings)
-        _print_report(args, findings)
-        return 1 if findings else 0
-
-    if args.write_baseline:
-        write_sarif(findings)
-        Baseline.from_findings(findings).write(args.baseline)
-        print(
-            f"reprolint: wrote baseline with {len(findings)} finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-
-    try:
-        baseline = Baseline.load(args.baseline)
-    except (ValueError, OSError) as exc:
-        print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-        return 2
-    result = baseline.apply(findings)
-    # SARIF mirrors the machine report: only the *new* findings fail CI,
-    # so a fully-baselined run uploads an empty result list.
-    write_sarif(result.new)
-
-    # Machine formats carry only the *new* findings — exactly what CI
-    # should annotate; suppressed debt stays visible in human output.
-    _print_report(args, result.new)
-    if args.format == "human":
-        if result.suppressed:
-            print(
-                f"reprolint: {len(result.suppressed)} baselined legacy "
-                f"finding(s) suppressed"
-            )
-        for entry in result.stale:
-            print(
-                f"reprolint: stale baseline entry {entry.code} at "
-                f"{entry.path} ({entry.text!r}) — debt paid, remove it "
-                f"(re-run with --write-baseline)"
-            )
-    elif result.stale:
-        print(
-            f"reprolint: {len(result.stale)} stale baseline entr"
-            f"{'y' if len(result.stale) == 1 else 'ies'}",
-            file=sys.stderr,
-        )
-    return 0 if result.ok else 1
+    if args.format == "json":
+        print(format_findings_json(findings))
+    else:
+        print(format_findings(findings))
+    return 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.analysis``)."""
-    args = build_parser(prog="python -m repro.analysis").parse_args(argv)
-    return run_lint(args)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description=(
+            "reprolint: domain-aware static analysis for the reproduction "
+            "(seeded randomness, engine-equivalence tolerance, "
+            "deterministic ordering, layering contract, cache coherence, "
+            "check-then-act cache fills)"
+        ),
+    )
+    add_arguments(parser)
+    return run_lint(parser.parse_args(argv))

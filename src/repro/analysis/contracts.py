@@ -39,13 +39,13 @@ aspirational:
   ``core.similarity`` at module scope and a module-scope edge back
   would be an import cycle.  Any *other* lazy import across a forbidden
   edge is still a violation — deferring an import does not change the
-  architecture.
-
-Known legacy violations (``core.neighborhood``/``core.recommender``
-importing ``repro.trust`` at module scope) are deliberately *not*
-exempted here; they live in the committed reprolint baseline
-(``.reprolint-baseline.json``) as tracked debt, so any new edge of the
-same shape fails CI while the old ones await the planned inversion.
+  architecture;
+* three **declared module edges** name the §3.2 pipeline's own
+  ``core → trust`` imports: neighbourhood formation builds the default
+  :class:`~repro.trust.appleseed.Appleseed` and takes a
+  :class:`~repro.trust.graph.TrustGraph`, and the recommender builds
+  one.  They are declared per (importer module, imported module) pair,
+  so every other ``core → trust`` import still fails.
 """
 
 from __future__ import annotations
@@ -54,15 +54,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .engine import Finding, GraphRule
-from .graph import ROOT_PACKAGE
 from .symbols import SCOPE_LAZY, SCOPE_TYPE_CHECKING, ProjectIndex
 
 __all__ = [
     "ArchitectureContractRule",
     "DEFAULT_CONTRACT",
     "LayerContract",
+    "ROOT_PACKAGE",
     "layer_of",
 ]
+
+#: The package the architecture rules reason about.
+ROOT_PACKAGE = "repro"
 
 #: Every layer below the orchestration tier, for the layers allowed to
 #: import anything.
@@ -90,7 +93,9 @@ class LayerContract:
     scope (its own layer is always allowed).  ``lazy_allowed`` lists
     ``(importer_layer, target_layer)`` edges additionally permitted for
     function-scoped imports, each one a documented inversion.
-    ``top_layers`` may import every internal layer.
+    ``declared_edges`` lists ``(importer_module, target_module)`` pairs
+    permitted at any scope.  ``top_layers`` may import every internal
+    layer.
     """
 
     package: str = ROOT_PACKAGE
@@ -114,7 +119,7 @@ class LayerContract:
             "web": frozenset({"core", "semweb", "obs", "util"}),
             # Synthetic stand-ins for the crawled §4 datasets.
             "datasets": frozenset({"core", "obs", "util"}),
-            # reprolint/reprograph: self-contained, imports nothing internal.
+            # reprolint: self-contained, imports nothing internal.
             "analysis": frozenset(),
             # Experiments drive every subsystem.
             "evaluation": _SUBSYSTEMS - {"evaluation", "analysis"},
@@ -126,6 +131,15 @@ class LayerContract:
             # perf.kernels imports core.similarity at module scope, so a
             # module-scope core -> perf edge would be an import cycle.
             ("core", "perf"),
+        }
+    )
+    declared_edges: frozenset[tuple[str, str]] = frozenset(
+        {
+            # §3.2: neighbourhood formation builds the default Appleseed
+            # and takes a TrustGraph; the recommender builds one.
+            ("repro.core.neighborhood", "repro.trust.appleseed"),
+            ("repro.core.neighborhood", "repro.trust.graph"),
+            ("repro.core.recommender", "repro.trust.graph"),
         }
     )
     top_layers: frozenset[str] = frozenset({"cli", "agent", ""})
@@ -192,6 +206,8 @@ class ArchitectureContractRule(GraphRule):
                 if target_layer is None:
                     continue
                 if contract.permits(importer_layer, target_layer, record.scope):
+                    continue
+                if (name, record.target) in contract.declared_edges:
                     continue
                 where = "lazily " if record.scope == SCOPE_LAZY else ""
                 importer_label = importer_layer or contract.package

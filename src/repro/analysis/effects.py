@@ -1,4 +1,4 @@
-"""Interprocedural effect inference and the cache-coherence rules (RL200–RL203).
+"""Interprocedural effect inference and the cache-coherence rule (RL200).
 
 The paper's architecture assumes long-lived machine agents that keep
 ingesting trust statements and ratings *while* serving recommendations
@@ -9,8 +9,8 @@ index — are invalidated by convention only, which makes "incremental
 everything" a stale-read minefield: one missed ``invalidate()`` in a
 daemon silently serves yesterday's scores forever.
 
-This module computes, per function, a conservative **effect set** over a
-small vocabulary of atoms:
+This module computes, per function, a conservative **effect set** over
+two kinds of atom:
 
 ``mutates:<Class.field>``
     an attribute of ``self`` or of a typed parameter/attribute is
@@ -18,75 +18,45 @@ small vocabulary of atoms:
     ``[k] = v``, ``+=``, ...); ``Class`` is the fully-qualified class.
 ``mutates:global``
     a module-level binding is rebound (``global``) or container-mutated.
-``io`` / ``clock`` / ``rng`` / ``spawns``
-    file/stream traffic, wall/monotonic clock reads, module-level RNG
-    draws (seeded ``random.Random``/``default_rng`` construction and
-    draws on injected generator objects are *not* effects — that is the
-    RL001 contract), and process/thread pool creation.
 
 Direct effects are extracted from each body, then propagated to callers
 via a fixpoint over the :class:`~repro.analysis.symbols.ProjectIndex`
-call graph (the RL101 ``returns_tainted`` pattern), resolving
-``self.attr.method()`` chains through a lightweight type environment
-(dataclass field annotations, ``self.x = param`` in ``__init__``,
-constructor-typed locals) and unwrapping ``functools.partial`` plus the
-``map``/``map_seeded``/``map_chunked``/``submit`` dispatchers exactly as
-RL102 does.  Constructing a class does **not** import its ``__init__``
-effects: initializing a fresh object is not a mutation of pre-existing
-state.  Like every reprograph pass this is best-effort static analysis —
-dynamic dispatch and untyped receivers stay unresolved, erring toward
-silence, never toward noise.
+call graph, resolving ``self.attr.method()`` chains through a
+lightweight type environment (dataclass field annotations,
+``self.x = param`` in ``__init__``, constructor-typed locals) and
+unwrapping ``functools.partial`` plus the ``map``/``map_seeded``/
+``map_chunked``/``submit`` pool dispatchers.  Constructing a class does
+**not** import its ``__init__`` effects: initializing a fresh object is
+not a mutation of pre-existing state.  Like every graph pass this is
+best-effort static analysis — dynamic dispatch and untyped receivers
+stay unresolved, erring toward silence, never toward noise.
 
-On top of the inferred table sit four graph rules:
-
-``RL200``
-    cache coherence — a declarative :data:`DEFAULT_CACHE_REGISTRY` maps
-    cache fields to the backing state they derive from; any function
-    that mutates backing state while a registered cache owner is in
-    scope (``self``, a typed attribute, a typed parameter) must also
-    reach the paired invalidation, and anything *named* like an
-    invalidator must clear every registered field of every visible
-    owner (no partial invalidation).
-``RL201``
-    purity contract — query entry points (``recommend``,
-    ``peer_weights``, ``top_similar``, ``predict``, the trust metrics'
-    ``compute``, the perf kernels) must carry no ``mutates:*`` effect
-    outside the declared cache fields.
-``RL202``
-    seeded randomness, interprocedurally — no ``rng`` effect may reach a
-    query/experiment entry point; randomness must arrive as a seeded
-    ``random.Random`` parameter (RL001 generalized across calls).
-``RL203``
-    layer hygiene — no ``io``/``clock`` effects inside ``repro.core``/
-    ``repro.trust``/``repro.perf``; instrumentation through
-    :mod:`repro.obs` (Stopwatch, tracer, metrics) is allowlisted by
-    recomputing the fixpoint with ``repro.obs.*`` callees ignored.
-
-``repro lint --effects FILE`` serializes the table as deterministic JSON
-(:data:`EFFECT_TABLE_SCHEMA`, sorted keys) so future PRs can diff purity
-regressions.  Schema ``reprolint-effects/2`` carries, per function, both
-the effect atoms and the inferred lock set (``guards``) computed by the
-RL300-series pass in :mod:`repro.analysis.concurrency`.
+On top of the inferred table sits ``RL200``, cache coherence: a
+declarative :data:`DEFAULT_CACHE_REGISTRY` maps cache fields to the
+backing state they derive from; any function that mutates backing state
+while a registered cache owner is in scope (``self``, a typed attribute,
+a typed parameter) must also reach the paired invalidation, and anything
+*named* like an invalidator must clear every registered field of every
+visible owner (no partial invalidation).  The lock-set pass of
+:mod:`repro.analysis.concurrency` reuses the same scan.
 
 The sanctioned primitives of :mod:`repro.util.sync` get special
-classification: ``cache.get_or_build``/``store``/``invalidate``/
-``swap``/``clear`` on a typed :class:`GuardedCache`/:class:`AtomicSwap`
-attribute count as mutations of *that field* (so the RL200/RL201
-registry pairings keep their ``ProfileStore._cache``-style atom names
-instead of leaking ``GuardedCache._data`` internals), and the builder
-passed to ``get_or_build`` becomes a call edge so its effects propagate.
+classification: ``cache.store``/``invalidate``/``swap``/``clear`` on a
+typed :class:`GuardedCache`/:class:`AtomicSwap` attribute count as
+mutations of *that field* (so the registry pairings keep their
+``ProfileStore._cache``-style atom names instead of leaking
+``GuardedCache._data`` internals), and the builder passed to
+``get_or_build`` becomes a call edge so its effects propagate.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .dataflow import FORK_DISPATCH_METHODS, ForkSafetyRule
 from .engine import Finding, GraphRule
 from .symbols import FunctionInfo, ModuleInfo, ProjectIndex, dotted_name
 
@@ -94,80 +64,19 @@ __all__ = [
     "CacheCoherenceRule",
     "CacheSpec",
     "DEFAULT_CACHE_REGISTRY",
-    "EFFECT_TABLE_SCHEMA",
     "EffectAnalysis",
-    "LayerPurityRule",
-    "PURE_ENTRY_POINTS",
-    "PurityContractRule",
     "SYNC_MODULE",
-    "SYNC_GUARDED_METHODS",
     "SYNC_MUTATOR_METHODS",
     "SYNC_PRIMITIVE_CLASSES",
-    "SeededRandomnessRule",
     "analyze_effects",
-    "effect_table",
-    "format_effect_table",
     "is_sync_primitive",
 ]
 
-#: Schema identifier stamped into every serialized effect table; CI
-#: fails on drift (scripts/check_effect_table.py).  ``/2`` added the
-#: per-function ``guards`` lock set next to ``effects``.
-EFFECT_TABLE_SCHEMA = "reprolint-effects/2"
-
-EFFECT_IO = "io"
-EFFECT_CLOCK = "clock"
-EFFECT_RNG = "rng"
-EFFECT_SPAWNS = "spawns"
 MUTATES_GLOBAL = "mutates:global"
 
-#: Seeded RNG construction is fine (the RL001 convention); drawing from
-#: the module-level generators is the effect.
-_SEEDED_CONSTRUCTORS = frozenset({"Random", "SystemRandom", "default_rng", "Generator"})
-_RANDOM_MODULES = frozenset({"random", "np.random", "numpy.random"})
-
-#: Wall/monotonic clock reads (the RL007 set plus sleeps and datetime).
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.thread_time",
-        "time.sleep",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-#: Bare builtins that touch streams.
-_IO_CALLS = frozenset({"open", "print", "input", "breakpoint"})
-#: Unambiguous IO method names (pathlib/urllib); deliberately *not*
-#: bare ``write``/``read``, which collide with domain methods.
-_IO_METHOD_NAMES = frozenset(
-    {
-        "read_text",
-        "write_text",
-        "read_bytes",
-        "write_bytes",
-        "urlopen",
-        "urlretrieve",
-        "makedirs",
-    }
-)
-_IO_PREFIXES = ("shutil.", "socket.", "sys.stdout.", "sys.stderr.", "os.")
-#: ``os.`` calls that only read process-local facts, not the world.
-_IO_EXEMPT = frozenset({"os.cpu_count", "os.getpid", "os.getcwd"})
-
-_SPAWN_PREFIXES = ("subprocess.", "multiprocessing.")
-_SPAWN_NAMES = frozenset(
-    {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "Process", "Popen", "fork"}
-)
+#: Methods that hand a callable to a process pool: the worker is a real
+#: call edge of the dispatching function.
+_DISPATCH_METHODS = frozenset({"map", "map_seeded", "map_chunked", "submit"})
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -193,10 +102,7 @@ _MUTATOR_METHODS = frozenset(
 #: ``ProfileStore.profile`` are never mistaken for incomplete clears).
 _INVALIDATOR_RE = re.compile(r"invalidate|_reset_cache|drop_cache", re.IGNORECASE)
 
-#: Instrumentation layer whose callees RL201/RL203 ignore.
-_OBS_PREFIX = "repro.obs"
-
-#: The sanctioned concurrency primitives (sanitizers for RL300–RL303).
+#: The sanctioned concurrency primitives (sanitizers for RL301).
 SYNC_MODULE = "repro.util.sync"
 SYNC_PRIMITIVE_CLASSES = frozenset({"GuardedCache", "AtomicSwap", "ReentrantGuard"})
 #: Primitive methods that (re)write the owning field's contents in a
@@ -205,9 +111,6 @@ SYNC_PRIMITIVE_CLASSES = frozenset({"GuardedCache", "AtomicSwap", "ReentrantGuar
 #: guarded *read* (idempotent, invisible to any caller), so memoizing a
 #: reader must not turn it into a writer in the effect lattice.
 SYNC_MUTATOR_METHODS = frozenset({"store", "invalidate", "swap", "clear"})
-#: Primitive methods that enter the guard's critical section — what the
-#: concurrency analysis treats as implicit lock acquisitions.
-SYNC_GUARDED_METHODS = SYNC_MUTATOR_METHODS | frozenset({"get_or_build"})
 
 
 def is_sync_primitive(class_qualname: str) -> bool:
@@ -217,7 +120,7 @@ def is_sync_primitive(class_qualname: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The declarative cache registry (RL200/RL201).
+# The declarative cache registry (RL200/RL301).
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +131,7 @@ class CacheSpec:
     ``backing`` lists fully-qualified *fields* whose mutation invalidates
     the caches; ``caches`` maps each owner class to its cache fields.  A
     spec with empty ``backing`` declares caches over immutable state
-    (coherent by construction) purely so RL201 can allowlist the fills.
+    (coherent by construction) purely so RL301 covers their lazy fills.
     """
 
     name: str
@@ -269,8 +172,7 @@ _DIVERSIFIER = "repro.core.diversify.TopicDiversifier"
 _PROFILE_MATRIX = "repro.perf.matrix.ProfileMatrix"
 
 #: The repository's cache-coherence pairings.  Every cache field named
-#: here is also RL201's allowlist: filling a declared cache is not a
-#: purity violation.
+#: here is also a field RL301 checks for unguarded check-then-act fills.
 DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
     CacheSpec(
         name="profile-caches",
@@ -350,47 +252,6 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
 )
 
 
-#: Query entry points bound by the RL201 purity contract and the RL202
-#: randomness contract: (module prefix, method/function names).
-PURE_ENTRY_POINTS: tuple[tuple[str, frozenset[str]], ...] = (
-    ("repro.core.neighborhood", frozenset({"form"})),
-    ("repro.core.prediction", frozenset({"predict", "predict_many"})),
-    ("repro.core.recommender", frozenset({"recommend", "peer_weights"})),
-    ("repro.core.similarity", frozenset({"top_similar"})),
-    ("repro.core.diversify", frozenset({"rerank", "ils"})),
-    (
-        "repro.perf.kernels",
-        frozenset(
-            {
-                "community_scores",
-                "cosine_many",
-                "pearson_many",
-                "rank_profiles",
-                "similarity_many",
-                "top_k",
-                "top_k_pairs",
-            }
-        ),
-    ),
-    ("repro.trust", frozenset({"compute", "rank_many"})),
-)
-
-#: Layers that must stay free of io/clock effects (RL203).
-_PURE_LAYER_PREFIXES = ("repro.core", "repro.trust", "repro.perf")
-
-
-def _module_in(module: str, prefix: str) -> bool:
-    return module == prefix or module.startswith(prefix + ".")
-
-
-def _is_entry_point(func: FunctionInfo) -> bool:
-    short = func.name.rpartition(".")[2]
-    return any(
-        _module_in(func.module, prefix) and short in names
-        for prefix, names in PURE_ENTRY_POINTS
-    )
-
-
 # ---------------------------------------------------------------------------
 # Effect inference.
 # ---------------------------------------------------------------------------
@@ -410,11 +271,10 @@ class _ScanContext:
 
 
 class EffectAnalysis:
-    """Direct effects + call edges for one project, with cached fixpoints.
+    """Direct effects + call edges for one project, with a cached fixpoint.
 
-    Shared by all four RL2xx rules through :func:`analyze_effects`, so
-    one lint invocation pays for one inference pass regardless of how
-    many rules consume it.
+    Shared by RL200 and the lock-set pass through :func:`analyze_effects`,
+    so one lint invocation pays for one inference pass.
     """
 
     def __init__(self, project: ProjectIndex) -> None:
@@ -433,13 +293,11 @@ class EffectAnalysis:
         #: method on a locally-constructed receiver, so its
         #: self-mutations are invisible to the caller's callers
         #: (``sub = TrustGraph(); sub.add_edge(...)`` builds fresh state,
-        #: it doesn't mutate shared state).  io/clock/rng/spawns always
-        #: propagate.
+        #: it doesn't mutate shared state).  Mutations of other classes
+        #: and of globals always propagate.
         self.edge_masks: dict[str, dict[str, frozenset[str]]] = {}
-        #: function → effect → human-readable origin ("time.perf_counter").
-        self.origins: dict[str, dict[str, str]] = {}
         self.param_types: dict[str, dict[str, str]] = {}
-        self._tables: dict[bool, dict[str, frozenset[str]]] = {}
+        self._table: dict[str, frozenset[str]] | None = None
         self._build_class_table()
         for func in project.functions():
             self._scan(func)
@@ -590,7 +448,7 @@ class EffectAnalysis:
             self_class=f"{module.name}.{class_name}" if class_name else None,
             params=self._parameter_types(module, func.node),
             locals={},
-            bound=ForkSafetyRule._locally_bound_names(func.node),
+            bound=_locally_bound_names(func.node),
             global_decls=set(),
         )
         self._type_locals(ctx, func.node)
@@ -602,31 +460,20 @@ class EffectAnalysis:
     def _scan(self, func: FunctionInfo) -> None:
         ctx = self._context(func)
         direct: set[str] = set()
-        origins: dict[str, str] = {}
         callees: dict[str, set[str]] = {}
         for node in ast.walk(func.node):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    self._write_target(target, ctx, direct, origins)
+                    self._write_target(target, ctx, direct)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 if not (isinstance(node, ast.AnnAssign) and node.value is None):
-                    self._write_target(node.target, ctx, direct, origins)
+                    self._write_target(node.target, ctx, direct)
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    self._write_target(target, ctx, direct, origins)
+                    self._write_target(target, ctx, direct)
             elif isinstance(node, ast.Call):
-                self._classify_call(node, ctx, direct, origins, callees)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                binding = ctx.module.globals.get(node.id)
-                if (
-                    binding is not None
-                    and binding.kind == "rng"
-                    and node.id not in ctx.bound
-                ):
-                    direct.add(EFFECT_RNG)
-                    origins.setdefault(EFFECT_RNG, f"module global {node.id!r}")
+                self._classify_call(node, ctx, direct, callees)
         self.direct[func.qualname] = direct
-        self.origins[func.qualname] = origins
         self.callees[func.qualname] = set(callees)
         self.edge_masks[func.qualname] = {
             callee: frozenset(mask) for callee, mask in callees.items() if mask
@@ -689,55 +536,38 @@ class EffectAnalysis:
     # -- writes --------------------------------------------------------------
 
     def _write_target(
-        self,
-        target: ast.expr,
-        ctx: _ScanContext,
-        direct: set[str],
-        origins: dict[str, str],
+        self, target: ast.expr, ctx: _ScanContext, direct: set[str]
     ) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._write_target(elt, ctx, direct, origins)
+                self._write_target(elt, ctx, direct)
         elif isinstance(target, ast.Starred):
-            self._write_target(target.value, ctx, direct, origins)
+            self._write_target(target.value, ctx, direct)
         elif isinstance(target, ast.Name):
             if target.id in ctx.global_decls:
                 direct.add(MUTATES_GLOBAL)
-                origins.setdefault(MUTATES_GLOBAL, f"global {target.id}")
         elif isinstance(target, ast.Subscript):
-            self._write_through(target.value, ctx, direct, origins)
+            self._write_through(target.value, ctx, direct)
         elif isinstance(target, ast.Attribute):
             cls = self._stateful_receiver(target.value, ctx)
             if cls is not None:
-                atom = f"mutates:{cls}.{target.attr}"
-                direct.add(atom)
-                origins.setdefault(atom, f"assignment to .{target.attr}")
+                direct.add(f"mutates:{cls}.{target.attr}")
             else:
-                self._write_through(target.value, ctx, direct, origins)
+                self._write_through(target.value, ctx, direct)
 
     def _write_through(
-        self,
-        container: ast.expr,
-        ctx: _ScanContext,
-        direct: set[str],
-        origins: dict[str, str],
+        self, container: ast.expr, ctx: _ScanContext, direct: set[str]
     ) -> None:
         """A store *through* a container expression mutates the container."""
         if isinstance(container, ast.Subscript):
-            self._write_through(container.value, ctx, direct, origins)
+            self._write_through(container.value, ctx, direct)
         elif isinstance(container, ast.Attribute):
             cls = self._stateful_receiver(container.value, ctx)
             if cls is not None:
-                atom = f"mutates:{cls}.{container.attr}"
-                direct.add(atom)
-                origins.setdefault(atom, f"store through .{container.attr}")
+                direct.add(f"mutates:{cls}.{container.attr}")
         elif isinstance(container, ast.Name):
-            name = container.id
-            if name in ctx.global_decls or (
-                name in ctx.module.globals and name not in ctx.bound
-            ):
+            if _is_module_global(container.id, ctx):
                 direct.add(MUTATES_GLOBAL)
-                origins.setdefault(MUTATES_GLOBAL, f"store through global {name!r}")
 
     # -- calls ---------------------------------------------------------------
 
@@ -788,13 +618,12 @@ class EffectAnalysis:
         call: ast.Call,
         ctx: _ScanContext,
         direct: set[str],
-        origins: dict[str, str],
         callees: dict[str, set[str]],
     ) -> None:
         resolved = self._resolve_call_target(call, ctx)
 
         # functools.partial(worker, ...) defers the worker's effects to
-        # whoever calls the partial; attribute dispatchers (map/submit)
+        # whoever calls the partial; pool dispatchers (map/submit)
         # definitely run it — either way the edge is real.
         if (
             resolved is not None
@@ -806,14 +635,12 @@ class EffectAnalysis:
                 self._add_edge(callees, ref)
         if (
             isinstance(call.func, ast.Attribute)
-            and call.func.attr in FORK_DISPATCH_METHODS
+            and call.func.attr in _DISPATCH_METHODS
             and call.args
         ):
             ref = self._function_ref(call.args[0], ctx)
             if ref is not None:
                 self._add_edge(callees, ref)
-                direct.add(EFFECT_SPAWNS)
-                origins.setdefault(EFFECT_SPAWNS, f".{call.func.attr}() dispatch")
 
         # Calls on a repro.util.sync primitive: classify against the
         # *owning field* and never descend into the primitive's body, so
@@ -822,7 +649,7 @@ class EffectAnalysis:
         if isinstance(call.func, ast.Attribute):
             receiver_cls = self._receiver_class(call.func.value, ctx)
             if receiver_cls is not None and is_sync_primitive(receiver_cls):
-                self._classify_sync_call(call, ctx, direct, origins, callees)
+                self._classify_sync_call(call, ctx, direct, callees)
                 return
 
         if resolved is not None:
@@ -843,15 +670,13 @@ class EffectAnalysis:
                 # Constructing a fresh object: its __init__ writes are
                 # initialization, not mutation of caller-visible state.
                 return
-            self._classify_external(call, resolved, direct, origins)
-        self._classify_mutator_call(call, ctx, direct, origins)
+        self._classify_mutator_call(call, ctx, direct)
 
     def _classify_sync_call(
         self,
         call: ast.Call,
         ctx: _ScanContext,
         direct: set[str],
-        origins: dict[str, str],
         callees: dict[str, set[str]],
     ) -> None:
         """A method call on a ``repro.util.sync`` primitive.
@@ -868,57 +693,14 @@ class EffectAnalysis:
         if method in SYNC_MUTATOR_METHODS and isinstance(receiver, ast.Attribute):
             cls = self._stateful_receiver(receiver.value, ctx)
             if cls is not None:
-                atom = f"mutates:{cls}.{receiver.attr}"
-                direct.add(atom)
-                origins.setdefault(atom, f".{receiver.attr}.{method}()")
+                direct.add(f"mutates:{cls}.{receiver.attr}")
         if method == "get_or_build" and call.args:
             ref = self._function_ref(call.args[-1], ctx)
             if ref is not None:
                 self._add_edge(callees, ref)
 
-    def _classify_external(
-        self,
-        call: ast.Call,
-        resolved: str,
-        direct: set[str],
-        origins: dict[str, str],
-    ) -> None:
-        module_part, _, last = resolved.rpartition(".")
-        if module_part in _RANDOM_MODULES:
-            seeded = last in _SEEDED_CONSTRUCTORS and bool(
-                call.args or call.keywords
-            )
-            if not seeded:
-                direct.add(EFFECT_RNG)
-                origins.setdefault(EFFECT_RNG, resolved)
-            return
-        if resolved in _CLOCK_CALLS:
-            direct.add(EFFECT_CLOCK)
-            origins.setdefault(EFFECT_CLOCK, resolved)
-            return
-        if last in _SPAWN_NAMES or resolved.startswith(_SPAWN_PREFIXES):
-            direct.add(EFFECT_SPAWNS)
-            origins.setdefault(EFFECT_SPAWNS, resolved)
-            if resolved.startswith("subprocess."):
-                direct.add(EFFECT_IO)
-                origins.setdefault(EFFECT_IO, resolved)
-            return
-        if resolved in _IO_EXEMPT:
-            return
-        if (
-            resolved in _IO_CALLS
-            or last in _IO_METHOD_NAMES
-            or resolved.startswith(_IO_PREFIXES)
-        ):
-            direct.add(EFFECT_IO)
-            origins.setdefault(EFFECT_IO, resolved)
-
     def _classify_mutator_call(
-        self,
-        call: ast.Call,
-        ctx: _ScanContext,
-        direct: set[str],
-        origins: dict[str, str],
+        self, call: ast.Call, ctx: _ScanContext, direct: set[str]
     ) -> None:
         if not isinstance(call.func, ast.Attribute):
             return
@@ -932,44 +714,27 @@ class EffectAnalysis:
         if isinstance(base, ast.Attribute):
             cls = self._stateful_receiver(base.value, ctx)
             if cls is not None:
-                atom = f"mutates:{cls}.{base.attr}"
-                direct.add(atom)
-                origins.setdefault(atom, f".{base.attr}.{call.func.attr}()")
+                direct.add(f"mutates:{cls}.{base.attr}")
         elif isinstance(base, ast.Name):
-            name = base.id
-            if name in ctx.global_decls or (
-                name in ctx.module.globals and name not in ctx.bound
-            ):
+            if _is_module_global(base.id, ctx):
                 direct.add(MUTATES_GLOBAL)
-                origins.setdefault(
-                    MUTATES_GLOBAL, f"{name}.{call.func.attr}() on a module global"
-                )
 
     # -- the fixpoint --------------------------------------------------------
 
-    def effects(self, ignore_obs: bool = False) -> dict[str, frozenset[str]]:
-        """Transitive effects per function.
-
-        With ``ignore_obs`` the propagation skips callees inside
-        :mod:`repro.obs` — the RL201/RL203 allowlist: routing timing and
-        metrics through the observability layer is sanctioned, calling
-        the clock directly is not.
-        """
-        cached = self._tables.get(ignore_obs)
-        if cached is not None:
-            return cached
+    def effects(self) -> dict[str, frozenset[str]]:
+        """Transitive effects per function."""
+        if self._table is not None:
+            return self._table
         effects = {name: set(atoms) for name, atoms in self.direct.items()}
         order = sorted(effects)
-        # Monotone fixpoint, same bound as the RL101 taint pass: atoms
-        # only accumulate, so len(functions)+1 rounds always suffice.
+        # Monotone fixpoint: atoms only accumulate, so len(functions)+1
+        # rounds always suffice.
         for _ in range(len(order) + 1):
             changed = False
             for name in order:
                 accumulated = effects[name]
                 for callee in self.callees.get(name, ()):
                     if callee == name:
-                        continue
-                    if ignore_obs and _module_in_obs(callee):
                         continue
                     callee_effects = effects.get(callee)
                     if not callee_effects:
@@ -980,9 +745,8 @@ class EffectAnalysis:
                         changed = True
             if not changed:
                 break
-        table = {name: frozenset(atoms) for name, atoms in effects.items()}
-        self._tables[ignore_obs] = table
-        return table
+        self._table = {name: frozenset(atoms) for name, atoms in effects.items()}
+        return self._table
 
     def _mask_edge(
         self, caller: str, callee: str, atoms: set[str] | frozenset[str]
@@ -1019,40 +783,39 @@ class EffectAnalysis:
                 visible.add(typed)
         return sorted(visible)
 
-    def witness_path(
-        self, start: str, effect: str, ignore_obs: bool = False
-    ) -> list[str]:
-        """A deterministic call chain from *start* to a direct source of
-        *effect* — the part of the message that makes RL202/RL203
-        actionable."""
-        table = self.effects(ignore_obs)
-        path = [start]
-        current = start
-        while effect not in self.direct.get(current, ()):
-            candidates = [
-                callee
-                for callee in sorted(self.callees.get(current, ()))
-                if callee not in path
-                and not (ignore_obs and _module_in_obs(callee))
-                and effect
-                in self._mask_edge(current, callee, table.get(callee, frozenset()))
-            ]
-            if not candidates:
-                break
-            current = candidates[0]
-            path.append(current)
-        return path
-
-    def origin_of(self, qualname: str, effect: str) -> str:
-        return self.origins.get(qualname, {}).get(effect, effect)
+def _is_module_global(name: str, ctx: _ScanContext) -> bool:
+    """Whether *name* refers to a module-level binding inside this function."""
+    return name in ctx.global_decls or (
+        name in ctx.module.globals and name not in ctx.bound
+    )
 
 
-def _module_in_obs(qualname: str) -> bool:
-    return qualname == _OBS_PREFIX or qualname.startswith(_OBS_PREFIX + ".")
+def _locally_bound_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Parameter and locally-assigned names of a function."""
+    bound: set[str] = set()
+    args = node.args
+    for arg in (
+        *args.posonlyargs,
+        *args.args,
+        *args.kwonlyargs,
+        *filter(None, (args.vararg, args.kwarg)),
+    ):
+        bound.add(arg.arg)
+    declared_global: set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, (ast.Store, ast.Del)):
+            bound.add(child.id)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child is not node:
+                bound.add(child.name)
+        elif isinstance(child, ast.Global):
+            declared_global.update(child.names)
+    # ``global X`` makes every access hit the module — X is NOT local.
+    return bound - declared_global
 
 
-#: One analysis per ProjectIndex: all four rules (and the effect table)
-#: share a single inference pass within a lint invocation.
+#: One analysis per ProjectIndex: RL200 and the lock-set pass share a
+#: single inference pass within a lint invocation.
 _ANALYSES: "weakref.WeakKeyDictionary[ProjectIndex, EffectAnalysis]" = (
     weakref.WeakKeyDictionary()
 )
@@ -1065,33 +828,6 @@ def analyze_effects(project: ProjectIndex) -> EffectAnalysis:
         analysis = EffectAnalysis(project)
         _ANALYSES[project] = analysis
     return analysis
-
-
-# ---------------------------------------------------------------------------
-# The serialized effect table (``repro lint --effects``).
-# ---------------------------------------------------------------------------
-
-
-def effect_table(project: ProjectIndex) -> dict[str, object]:
-    """Deterministic JSON-ready effect + lock-set table per function."""
-    from .concurrency import analyze_concurrency  # circular at module scope
-
-    effects = analyze_effects(project).effects()
-    guards = analyze_concurrency(project).acquired_guards()
-    return {
-        "schema": EFFECT_TABLE_SCHEMA,
-        "functions": {
-            qualname: {
-                "effects": sorted(atoms),
-                "guards": sorted(guards.get(qualname, frozenset())),
-            }
-            for qualname, atoms in sorted(effects.items())
-        },
-    }
-
-
-def format_effect_table(project: ProjectIndex) -> str:
-    return json.dumps(effect_table(project), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,173 +933,3 @@ class CacheCoherenceRule(GraphRule):
 
 def _short(qualname: str) -> str:
     return qualname.rpartition(".")[2]
-
-
-# ---------------------------------------------------------------------------
-# RL201 — purity contract on query entry points.
-# ---------------------------------------------------------------------------
-
-
-class PurityContractRule(GraphRule):
-    """RL201: query entry points mutate nothing beyond declared caches.
-
-    Effects are computed with :mod:`repro.obs` callees ignored (metric
-    counters are sanctioned instrumentation); every remaining
-    ``mutates:*`` atom outside :data:`DEFAULT_CACHE_REGISTRY`'s declared
-    cache fields is a contract violation.
-    """
-
-    code = "RL201"
-    summary = "query entry point carries an undeclared mutation effect"
-
-    def __init__(self, registry: tuple[CacheSpec, ...] = DEFAULT_CACHE_REGISTRY):
-        self.allowed = frozenset().union(
-            *(spec.all_cache_atoms for spec in registry)
-        )
-
-    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        analysis = analyze_effects(project)
-        effects = analysis.effects(ignore_obs=True)
-        for func in project.functions():
-            if not _is_entry_point(func):
-                continue
-            atoms = effects.get(func.qualname, frozenset())
-            undeclared = sorted(
-                atom
-                for atom in atoms
-                if atom.startswith("mutates:") and atom not in self.allowed
-            )
-            if not undeclared:
-                continue
-            module = project.modules[func.module]
-            yield self.finding(
-                path=module.path,
-                line=func.line,
-                column=func.node.col_offset + 1,
-                message=(
-                    f"query entry point {func.qualname} has undeclared "
-                    f"mutation effect(s) {', '.join(undeclared)} — queries "
-                    f"must be pure apart from the registered caches "
-                    f"(docs/ANALYSIS.md cache registry)"
-                ),
-            )
-
-
-# ---------------------------------------------------------------------------
-# RL202 — seeded randomness, interprocedurally.
-# ---------------------------------------------------------------------------
-
-
-class SeededRandomnessRule(GraphRule):
-    """RL202: no ``rng`` effect may reach a query/experiment entry point.
-
-    RL001 bans module-level draws per file; this closes the loophole of
-    hiding one behind a helper.  Drawing from an injected, seeded
-    ``random.Random`` parameter produces no ``rng`` atom at all, so the
-    sanctioned pattern passes by construction.
-    """
-
-    code = "RL202"
-    summary = "entry point transitively draws from the module-level RNG"
-
-    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        analysis = analyze_effects(project)
-        effects = analysis.effects()
-        for func in project.functions():
-            if not self._covered(func):
-                continue
-            if EFFECT_RNG not in effects.get(func.qualname, frozenset()):
-                continue
-            path = analysis.witness_path(func.qualname, EFFECT_RNG)
-            origin = analysis.origin_of(path[-1], EFFECT_RNG)
-            module = project.modules[func.module]
-            via = " -> ".join(path)
-            yield self.finding(
-                path=module.path,
-                line=func.line,
-                column=func.node.col_offset + 1,
-                message=(
-                    f"{func.qualname} reaches module-level randomness "
-                    f"({origin}) via {via} — thread a seeded "
-                    f"random.Random through instead (RL001's contract, "
-                    f"across calls)"
-                ),
-            )
-
-    @staticmethod
-    def _covered(func: FunctionInfo) -> bool:
-        if _is_entry_point(func):
-            return True
-        short = func.name.rpartition(".")[2]
-        return _module_in(func.module, "repro.evaluation") and bool(
-            re.match(r"run_ex\d", short)
-        )
-
-
-# ---------------------------------------------------------------------------
-# RL203 — no io/clock in the pure layers.
-# ---------------------------------------------------------------------------
-
-
-class LayerPurityRule(GraphRule):
-    """RL203: ``repro.core``/``trust``/``perf`` stay io- and clock-free.
-
-    Timing belongs to :class:`repro.obs.Stopwatch` and tracer spans —
-    the obs layer is allowlisted by ignoring its callees in the fixpoint.
-    Only the function that *introduces* the effect into the layer is
-    flagged (direct use, or a call into an impure module elsewhere), so
-    one offender yields one finding instead of flagging every caller up
-    the chain.
-    """
-
-    code = "RL203"
-    summary = "io/clock effect inside the core/trust/perf layers"
-
-    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        analysis = analyze_effects(project)
-        effects = analysis.effects(ignore_obs=True)
-        for func in project.functions():
-            if not any(
-                _module_in(func.module, prefix) for prefix in _PURE_LAYER_PREFIXES
-            ):
-                continue
-            atoms = effects.get(func.qualname, frozenset())
-            for effect in (EFFECT_CLOCK, EFFECT_IO):
-                if effect not in atoms:
-                    continue
-                if self._inherited_in_layer(analysis, effects, func, effect):
-                    continue  # the in-layer callee is the one flagged
-                path = analysis.witness_path(func.qualname, effect, ignore_obs=True)
-                origin = analysis.origin_of(path[-1], effect)
-                module = project.modules[func.module]
-                hint = (
-                    "route timing through repro.obs.Stopwatch / tracer spans"
-                    if effect == EFFECT_CLOCK
-                    else "move the io to datasets/web/cli or inject the data"
-                )
-                yield self.finding(
-                    path=module.path,
-                    line=func.line,
-                    column=func.node.col_offset + 1,
-                    message=(
-                        f"{func.qualname} acquires a '{effect}' effect "
-                        f"({origin}, via {' -> '.join(path)}) inside the "
-                        f"pure layers — {hint}"
-                    ),
-                )
-
-    @staticmethod
-    def _inherited_in_layer(
-        analysis: EffectAnalysis,
-        effects: dict[str, frozenset[str]],
-        func: FunctionInfo,
-        effect: str,
-    ) -> bool:
-        for callee in analysis.callees.get(func.qualname, ()):
-            if _module_in_obs(callee):
-                continue
-            if effect not in effects.get(callee, frozenset()):
-                continue
-            if callee.startswith(tuple(p + "." for p in _PURE_LAYER_PREFIXES)):
-                return True
-        return False

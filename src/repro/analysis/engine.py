@@ -12,10 +12,10 @@ objects.  The engine owns everything rule-independent:
 * rendering findings as human-readable text or a JSON document.
 
 Rules are deliberately *domain-aware* rather than general-purpose: each
-encodes an invariant of this reproduction (score ranges from §3.1, the
-1e-9 engine-equivalence contract, byte-identical parallel merges), so the
-engine keeps the plumbing minimal and auditable instead of growing a
-generic plugin ecosystem.
+encodes an invariant of this reproduction (same-seed determinism, the
+1e-9 engine-equivalence contract, coherent caches), so the engine keeps
+the plumbing minimal and auditable instead of growing a generic plugin
+ecosystem.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ class Rule:
 
 
 class GraphRule:
-    """Base class for whole-program (reprograph) rules.
+    """Base class for whole-program (graph) rules.
 
     Unlike :class:`Rule`, a graph rule runs once per lint invocation over
     the :class:`~repro.analysis.symbols.ProjectIndex` of every linted
-    file, so it can see cross-module facts: layering violations, taint
-    paths, fork hazards, dead modules, import cycles.  Findings still
-    anchor to one ``(path, line)`` and honour the same
-    ``# reprolint: disable=RLxxx`` suppressions.
+    file, so it can see cross-module facts: layering violations, stale
+    caches, check-then-act fills.  Findings still anchor to one
+    ``(path, line)`` and honour the same ``# reprolint: disable=RLxxx``
+    suppressions.
     """
 
     code: str = "RL100"
@@ -143,19 +143,13 @@ class GraphRule:
         )
 
 
-def _suppressed_codes(
-    source: str, tree: ast.Module | None = None
-) -> dict[int, frozenset[str] | None]:
+def _suppressed_codes(source: str) -> dict[int, frozenset[str] | None]:
     """Map line number → suppressed codes (``None`` = all codes).
 
     Comments are found with :mod:`tokenize` so string literals containing
     the magic text don't suppress anything.  A suppression applies to the
     physical line it sits on, which is also where multi-line statements
-    report their findings (``node.lineno`` is the first line) — except
-    ``with`` statements, whose parenthesized multi-line headers put the
-    closing ``):`` (the natural comment spot) lines below the anchor.
-    When *tree* is given, suppressions anywhere in a ``with`` header are
-    additionally projected onto the statement's anchor line.
+    report their findings (``node.lineno`` is the first line).
     """
     suppressions: dict[int, frozenset[str] | None] = {}
     try:
@@ -183,38 +177,7 @@ def _suppressed_codes(
         # Unparseable token stream: fall through with whatever was found;
         # the caller will surface the SyntaxError from ast.parse instead.
         pass
-    if tree is not None and suppressions:
-        _project_header_suppressions(tree, suppressions)
     return suppressions
-
-
-def _project_header_suppressions(
-    tree: ast.Module, suppressions: dict[int, frozenset[str] | None]
-) -> None:
-    """Anchor ``with``-header suppressions onto the statement line.
-
-    Findings on a ``with`` statement (RL303 blocking-under-guard, most
-    prominently) report ``node.lineno``, but a multi-line header's
-    comment typically sits on a later physical line of the same header.
-    Merge every suppression found between the anchor and the first body
-    line onto the anchor.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        if not node.body:
-            continue
-        anchor = node.lineno
-        header_end = max(anchor, node.body[0].lineno - 1)
-        for line in range(anchor, header_end + 1):
-            if line == anchor or line not in suppressions:
-                continue
-            found = suppressions[line]
-            existing = suppressions.get(anchor, frozenset())
-            if found is None or existing is None:
-                suppressions[anchor] = None
-            else:
-                suppressions[anchor] = existing | found
 
 
 def _is_suppressed(
@@ -253,7 +216,7 @@ class LintEngine:
         context = RuleContext(
             path=path, source=source, lines=tuple(source.splitlines())
         )
-        suppressions = _suppressed_codes(source, tree)
+        suppressions = _suppressed_codes(source)
         findings = [
             finding
             for rule in self.rules
@@ -303,11 +266,7 @@ class LintEngine:
         for file_path in files:
             source = file_path.read_text(encoding="utf-8")
             findings.extend(self.lint_source(source, str(file_path)))
-            try:
-                tree: ast.Module | None = ast.parse(source, filename=str(file_path))
-            except SyntaxError:
-                tree = None
-            suppressions_by_path[str(file_path)] = _suppressed_codes(source, tree)
+            suppressions_by_path[str(file_path)] = _suppressed_codes(source)
         if self.graph_rules:
             from .symbols import ProjectIndex
 
@@ -351,7 +310,7 @@ def lint_paths(
 def lint_project(
     paths: Iterable[str | Path], select: Iterable[str] | None = None
 ) -> list[Finding]:
-    """Whole-project lint: per-file rules plus the reprograph rules."""
+    """Whole-project lint: per-file rules plus the graph rules."""
     return _default_engine(select).lint_project(paths)
 
 

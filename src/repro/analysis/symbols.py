@@ -1,10 +1,9 @@
-"""Whole-program symbol table for the reprograph pass.
+"""Whole-program symbol table for the graph rules.
 
-The file-at-a-time rules of :mod:`repro.analysis.rules` cannot see that a
-trust weight parsed in :mod:`repro.web.crawler` flows unclamped into
-Appleseed, or that :mod:`repro.core` quietly grew an import of
-:mod:`repro.perf`.  This module builds the shared substrate those
-whole-program checks need:
+The file-at-a-time rules of :mod:`repro.analysis.rules` cannot see that
+:mod:`repro.core` quietly grew an import of :mod:`repro.trust`, or that a
+helper three calls away mutates a cached field.  This module builds the
+shared substrate those whole-program checks need:
 
 * a dotted **module name** for every linted file (derived from the
   ``__init__.py`` chain, so ``src/repro/web/crawler.py`` becomes
@@ -15,9 +14,9 @@ whole-program checks need:
 * per-module **name bindings** (imported name → fully qualified target)
   so call sites can be resolved across module boundaries;
 * every **function** with its qualified name and AST, the raw material
-  of the taint and fork-safety passes;
-* module-level **global bindings** classified as mutable containers or
-  RNG state, which is what the fork-safety check hunts for.
+  of the effect and lock-set passes;
+* the names bound at **module level**, so a write through one reads as
+  a ``mutates:global`` effect.
 
 Everything here is best-effort static resolution: dynamic dispatch,
 ``getattr`` and star imports stay unresolved rather than guessed.
@@ -32,7 +31,6 @@ from pathlib import Path
 
 __all__ = [
     "FunctionInfo",
-    "GlobalBinding",
     "ImportRecord",
     "ModuleInfo",
     "ProjectIndex",
@@ -44,15 +42,6 @@ __all__ = [
 SCOPE_MODULE = "module"
 SCOPE_LAZY = "lazy"
 SCOPE_TYPE_CHECKING = "type-checking"
-
-#: Call targets that construct RNG state (module-level instances of these
-#: are fork hazards: every worker inherits the same stream position).
-_RNG_CONSTRUCTORS = frozenset({"Random", "SystemRandom", "default_rng", "Generator"})
-
-#: Call targets that construct mutable containers.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
-)
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -101,16 +90,6 @@ class ImportRecord:
     path: str  #: file path of the importer, for findings
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalBinding:
-    """A module-level assignment, classified for fork-safety."""
-
-    name: str
-    kind: str  #: ``mutable`` | ``rng`` | ``other``
-    line: int
-    column: int
-
-
 @dataclass(slots=True)
 class FunctionInfo:
     """A function or method with its location and body."""
@@ -137,22 +116,8 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name → AST node, for method resolution.
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
-    #: module-level assignments by name.
-    globals: dict[str, GlobalBinding] = field(default_factory=dict)
-
-
-def _classify_global(value: ast.expr) -> str:
-    """``mutable`` / ``rng`` / ``other`` for a module-level assignment."""
-    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return "mutable"
-    if isinstance(value, ast.Call):
-        name = dotted_name(value.func)
-        short = name.rpartition(".")[2] if name else ""
-        if short in _RNG_CONSTRUCTORS:
-            return "rng"
-        if short in _MUTABLE_CONSTRUCTORS:
-            return "mutable"
-    return "other"
+    #: names assigned at module level.
+    globals: set[str] = field(default_factory=set)
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -279,14 +244,8 @@ class _ModuleScanner(ast.NodeVisitor):
     # -- module-level globals ------------------------------------------------
 
     def _record_global(self, target: ast.expr, value: ast.expr | None) -> None:
-        if value is None or not isinstance(target, ast.Name):
-            return
-        self.info.globals[target.id] = GlobalBinding(
-            name=target.id,
-            kind=_classify_global(value),
-            line=target.lineno,
-            column=target.col_offset + 1,
-        )
+        if value is not None and isinstance(target, ast.Name):
+            self.info.globals.add(target.id)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._at_module_level:

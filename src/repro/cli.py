@@ -15,8 +15,8 @@ Installed as the ``repro`` console script.  Subcommands:
 * ``repro crawl``      — chaos crawl: replicate a community under injected
   faults (``--fault-rate/--fault-seed/--retries`` …) and report
   retry/breaker/degradation statistics
-* ``repro lint``       — reprolint + reprograph, the static-analysis pass
-  (score ranges, seeded randomness, tolerance comparisons; see
+* ``repro lint``       — reprolint, the static-analysis pass (seeded
+  randomness, tolerance comparisons, layering, cache coherence; see
   ``docs/ANALYSIS.md``)
 * ``repro trace``      — inspect observability artifacts:
   ``summarize FILE`` validates a JSONL trace and prints the slowest
@@ -116,6 +116,9 @@ _PARALLELIZABLE = {"EX02", "EX03", "EX05", "EX06", "EX17", "EX20", "EX21", "EX22
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Deferred so that importing repro.cli never loads the lint package.
+    from .analysis.cli import add_arguments as add_lint_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Semantic Web Recommender Systems (EDBT 2004) reproduction",
@@ -213,31 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(crawl)
     _add_obs_arguments(crawl)
 
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "reprolint: domain-aware static analysis "
-            "(RL001..RL010 file rules + RL100..RL104 graph rules "
-            "+ RL200..RL203 effect rules)"
-        ),
+    add_lint_arguments(
+        sub.add_parser(
+            "lint",
+            help="reprolint: the static-analysis pass (--list-rules for the catalogue)",
+        )
     )
-    lint.add_argument("paths", nargs="+",
-                      help="files or directories to lint")
-    lint.add_argument("--format", choices=["human", "json", "sarif"],
-                      default="human")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--sarif", default=None, metavar="FILE",
-                      help="also write a SARIF 2.1.0 report to FILE")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="baseline file of accepted legacy findings")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="regenerate --baseline FILE from current findings")
-    lint.add_argument("--effects", default=None, metavar="FILE",
-                      help="also write the inferred per-function effect "
-                           "table as deterministic JSON ('-' for stdout)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
 
     trace = sub.add_parser("trace", help="inspect a JSONL trace file")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)

@@ -14,9 +14,8 @@ schema.  This module is that schema's single owner:
   :func:`repro.obs.profile.profile_trace`).
 * :func:`write_bench` / :func:`validate_bench` own the versioned
   on-disk document (schema id :data:`BENCH_SCHEMA`, ``repro-bench/1``).
-  Reprolint ``RL010`` flags any ``BENCH_*.json`` writer that bypasses
-  this helper, so the trajectory cannot silently fork into ad-hoc
-  schemas again.
+  The three legacy writers (trust_scale, ex19, ex22) still keep their
+  own frozen schemas; every new trajectory goes through this helper.
 * ``scripts/check_bench_regression.py`` compares a fresh document
   against the committed baseline with noise-aware thresholds and, on
   failure, prints the dominant-span attribution — the regression names
@@ -272,7 +271,7 @@ def validate_bench(document: Any) -> list[str]:
 
 def write_bench(document: dict[str, Any], path: str | Path) -> Path:
     """Write a validated ``repro-bench/1`` document — the one sanctioned
-    ``BENCH_*.json`` writer (reprolint ``RL010``)."""
+    ``BENCH_*.json`` writer for new trajectories."""
     errors = validate_bench(document)
     if errors:
         raise ValueError(

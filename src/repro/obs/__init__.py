@@ -17,8 +17,8 @@ Three pieces, all dependency-free:
   gauges, and fixed-bucket histograms with Prometheus text exposition
   and a console summary;
 * :mod:`~repro.obs.stopwatch` — :class:`Stopwatch` / :func:`measure`,
-  the single monotonic-timing helper (``time.time`` for durations is
-  banned by reprolint ``RL007``).
+  the single monotonic-timing helper (``time.time`` is wall clock and
+  never times a duration).
 
 Layering: ``obs`` sits *below* ``core`` in the RL100 architecture
 contract, so every package may import it.  Instrumented code calls

@@ -12,8 +12,9 @@ honest totals).  The CLI scopes both with the :func:`tracing` /
 :func:`collecting` context managers, which also guarantee restoration
 on error.
 
-Pool workers deliberately see the defaults, not the parent's bindings:
-a forked/spawned worker must not append into the parent's span list.
+Pool workers see the defaults, not the parent's bindings: the parallel
+runner spawns each worker from a fresh interpreter, so none can append
+into the parent's span list.
 The parallel runner instead records fan-out shape from the parent side
 (see :mod:`repro.perf.parallel`).
 """

@@ -8,8 +8,7 @@ running; :func:`measure` wraps the classic repeat-and-take-the-median
 protocol used by the perf tables.
 
 ``time.time`` is wall clock — it jumps under NTP steps and DST and must
-never measure a duration (reprolint ``RL007`` enforces this).  This
-module is the sanctioned alternative.
+never measure a duration.  This module is the sanctioned alternative.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ logs:
   hot paths pay a single method call when tracing is disabled.
 
 Durations are measured with :func:`time.perf_counter` (monotonic);
-``time.time`` is banned for durations throughout the reproduction
-(reprolint ``RL007``).
+``time.time`` is wall clock and never times a duration anywhere in the
+reproduction.
 
 The on-disk format is JSONL: one span object per line, in start order::
 

@@ -14,13 +14,15 @@ the results *byte-identical* to a serial run:
 * the serial fallback runs the same function in the same order, so
   ``mode="serial"`` vs ``mode="process"`` is a pure scheduling choice.
 
-Workers receive their tasks by pickling, so task functions must be
-module-level callables and task payloads picklable — true for all of
-:mod:`repro.core` (plain dataclasses over dicts).
+Workers are started with ``spawn`` and receive their tasks by pickling,
+so task functions must be module-level callables and task payloads
+picklable — true for all of :mod:`repro.core` (plain dataclasses over
+dicts).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 from collections.abc import Callable, Iterable, Sequence
@@ -132,7 +134,12 @@ class ParallelExperimentRunner:
             metrics.gauge("parallel.workers").set(pool_workers)
             if serial:
                 return [func(item) for item in work]
-            with ProcessPoolExecutor(max_workers=pool_workers) as pool:
+            # spawn, not fork: a worker starts from a fresh interpreter
+            # instead of a copy of the parent's locks, threads and tracer.
+            with ProcessPoolExecutor(
+                max_workers=pool_workers,
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
                 return list(pool.map(func, work, chunksize=self.chunksize))
 
     def map_seeded(

@@ -4,7 +4,7 @@ Like the observability layer, ``repro.util`` depends on nothing but the
 standard library and may be imported from every other layer (the RL100
 contract registers it below ``core``).  Its one current member is
 :mod:`repro.util.sync`, the sanctioned concurrency primitives that the
-RL300-series lock-set analysis recognizes as sanitizers.
+RL301 lock-set analysis recognizes as sanitizers.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ matrices and trust neighborhoods warm while serving batched concurrent
 queries, which means every shared cache must survive N readers racing an
 invalidating writer.  Rather than sprinkling ``threading`` calls through
 domain code, the repository blesses exactly three primitives — and the
-RL300-series concurrency analysis (:mod:`repro.analysis.concurrency`)
+RL301 check-then-act analysis (:mod:`repro.analysis.concurrency`)
 treats them as sanitizers:
 
 :class:`GuardedCache`
@@ -16,7 +16,7 @@ treats them as sanitizers:
     a single slot published by *replacement* — derive a complete new
     value, then swap the reference; readers keep whatever snapshot they
     dereferenced.  This is the contract for packed-matrix lazy fields,
-    whose in-place mutation RL302 forbids;
+    which are rebuilt and swapped, never mutated in place;
 :class:`ReentrantGuard`
     a named re-entrant lock for compound critical sections spanning
     several caches (e.g. dropping a profile dict and its packed matrix
@@ -111,7 +111,7 @@ class GuardedCache(Generic[K, V]):
         """The cached value for *key*, building it under the guard if absent.
 
         *build* receives the key; it runs while the guard is held, so it
-        must not block on io (RL303) and must not try to acquire an
+        must not block on io and must not try to acquire an
         unrelated lock.  Re-entrant sibling fills through a shared guard
         are fine.
         """
@@ -176,7 +176,7 @@ class AtomicSwap(Generic[V]):
     are atomic); :meth:`get_or_build` is the lazy-field pattern
     (``if self._x is None: self._x = build()``) made atomic.  The held
     value itself must be immutable — rebuild and :meth:`swap`, never
-    mutate in place (RL302).
+    mutate in place.
     """
 
     __slots__ = ("name", "_guard", "_value")

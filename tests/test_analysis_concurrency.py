@@ -1,36 +1,23 @@
-"""Tests for lock-set inference and rules RL300–RL303.
+"""Tests for lock-set inference and the check-then-act rule RL301.
 
 Fixture packages are throwaway mini-trees on disk with real ``repro.*``
 module names (the ``__init__.py`` chain defines the package path), which
-is what lets :data:`DEFAULT_CACHE_REGISTRY`, :data:`CONCURRENT_ROOTS`
-and the ``repro.util.sync`` sanitizer recognition bind to fixture
-classes.  Each tree carries a stub ``repro/util/sync.py`` so annotations
-resolve to the sanctioned primitive qualnames without importing the real
-package.
+is what lets :data:`DEFAULT_CACHE_REGISTRY` and the ``repro.util.sync``
+sanitizer recognition bind to fixture classes.  Each tree carries a stub
+``repro/util/sync.py`` so annotations resolve to the sanctioned
+primitive qualnames without importing the real package.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.concurrency import (
-    AtomicPublishRule,
-    BlockingUnderGuardRule,
-    CheckThenActRule,
-    SharedStateRaceRule,
-    analyze_concurrency,
-)
+from repro.analysis.concurrency import CheckThenActRule
 from repro.analysis.engine import lint_project
 from repro.analysis.rules import all_rule_codes
-from repro.analysis.sarif import findings_to_sarif
-from repro.analysis.symbols import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-RL3XX = ["RL300", "RL301", "RL302", "RL303"]
 
 
 def write_project(root: Path, files: dict[str, str]) -> list[Path]:
@@ -41,10 +28,6 @@ def write_project(root: Path, files: dict[str, str]) -> list[Path]:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
         paths.append(path)
     return paths
-
-
-def build_index(root: Path, files: dict[str, str]) -> ProjectIndex:
-    return ProjectIndex.build(write_project(root, files))
 
 
 def codes(findings) -> list[str]:
@@ -106,124 +89,6 @@ SYNC_STUB = {
                 return ReentrantGuard(self.name)
     """,
 }
-
-
-# ---------------------------------------------------------------------------
-# RL300 — shared-state race.
-# ---------------------------------------------------------------------------
-
-_BARE_STORE = {
-    "repro/core/__init__.py": "",
-    "repro/core/recommender.py": """
-        class ProfileStore:
-            def __init__(self):
-                self._cache = {}
-    """,
-    "repro/perf/__init__.py": "",
-}
-
-
-class TestSharedStateRace:
-    def test_unguarded_write_on_concurrent_path(self, tmp_path):
-        files = dict(SYNC_STUB) | dict(_BARE_STORE)
-        files["repro/perf/parallel.py"] = """
-            from ..core.recommender import ProfileStore
-
-            class ParallelExperimentRunner:
-                def map(self, store: ProfileStore, keys):
-                    return [fill(store, key) for key in keys]
-
-            def fill(store: ProfileStore, key):
-                store._cache[key] = key
-                return key
-        """
-        findings = lint_project(write_project(tmp_path, files), select=["RL300"])
-        assert codes(findings) == ["RL300"]
-        message = findings[0].message
-        assert "repro.core.recommender.ProfileStore._cache" in message
-        # Witness chain: root -> mutator, deterministic.
-        assert (
-            "repro.perf.parallel.ParallelExperimentRunner.map"
-            " -> repro.perf.parallel.fill" in message
-        )
-
-    def test_entry_meet_is_intersection_over_paths(self, tmp_path):
-        # helper() is reached both guarded and unguarded from the root, so
-        # its effective entry lock set is the intersection: empty → race.
-        files = dict(SYNC_STUB) | dict(_BARE_STORE)
-        files["repro/perf/parallel.py"] = """
-            from ..core.recommender import ProfileStore
-
-            POOL_LOCK = object()
-
-            class ParallelExperimentRunner:
-                def map(self, store: ProfileStore, keys):
-                    helper(store)
-                    with POOL_LOCK:
-                        helper(store)
-
-            def helper(store: ProfileStore):
-                store._cache["k"] = 1
-        """
-        findings = lint_project(write_project(tmp_path, files), select=["RL300"])
-        assert codes(findings) == ["RL300"]
-
-    def test_sync_primitive_write_is_sanctioned(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/recommender.py"] = """
-            from ..util.sync import GuardedCache
-
-            class ProfileStore:
-                def __init__(self):
-                    self._cache: GuardedCache = GuardedCache("profiles")
-        """
-        files["repro/perf/__init__.py"] = ""
-        files["repro/perf/parallel.py"] = """
-            from ..core.recommender import ProfileStore
-
-            class ParallelExperimentRunner:
-                def map(self, store: ProfileStore, keys):
-                    return [fill(store, key) for key in keys]
-
-            def fill(store: ProfileStore, key):
-                store._cache.store(key, key)
-                return key
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL300"]) == []
-
-    def test_module_level_lock_is_a_guard(self, tmp_path):
-        files = dict(SYNC_STUB) | dict(_BARE_STORE)
-        files["repro/perf/parallel.py"] = """
-            from ..core.recommender import ProfileStore
-
-            FILL_LOCK = object()
-
-            class ParallelExperimentRunner:
-                def map(self, store: ProfileStore, keys):
-                    return [fill(store, key) for key in keys]
-
-            def fill(store: ProfileStore, key):
-                with FILL_LOCK:
-                    store._cache[key] = key
-                return key
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL300"]) == []
-
-    def test_suppression_on_the_write_line(self, tmp_path):
-        files = dict(SYNC_STUB) | dict(_BARE_STORE)
-        files["repro/perf/parallel.py"] = """
-            from ..core.recommender import ProfileStore
-
-            class ParallelExperimentRunner:
-                def map(self, store: ProfileStore, keys):
-                    return [fill(store, key) for key in keys]
-
-            def fill(store: ProfileStore, key):
-                store._cache[key] = key  # reprolint: disable=RL300
-                return key
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL300"]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -338,222 +203,16 @@ class TestCheckThenAct:
 
 
 # ---------------------------------------------------------------------------
-# RL302 — non-atomic invalidate/rebuild.
-# ---------------------------------------------------------------------------
-
-
-class TestAtomicPublish:
-    def test_in_place_mutation_of_swap_published_field(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/perf/__init__.py"] = ""
-        files["repro/perf/matrix.py"] = """
-            class ProfileMatrix:
-                def __init__(self):
-                    self._dense_sq = None
-
-                def patch(self, index, value):
-                    self._dense_sq[index] = value
-        """
-        findings = lint_project(write_project(tmp_path, files), select=["RL302"])
-        assert codes(findings) == ["RL302"]
-        assert "publishes by replacement" in findings[0].message
-
-    def test_inconsistent_lock_sets(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/recommender.py"] = """
-            class ProfileStore:
-                def __init__(self):
-                    self._fill_lock = object()
-                    self._drop_lock = object()
-                    self._cache = {}
-
-                def fill(self, key, value):
-                    with self._fill_lock:
-                        self._cache[key] = value
-
-                def drop(self):
-                    with self._drop_lock:
-                        self._cache.clear()
-        """
-        findings = lint_project(write_project(tmp_path, files), select=["RL302"])
-        assert codes(findings) == ["RL302"]
-        message = findings[0].message
-        assert "inconsistent lock sets" in message
-        assert "_fill_lock" in message and "_drop_lock" in message
-
-    def test_shared_guard_has_a_common_token(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/recommender.py"] = """
-            class ProfileStore:
-                def __init__(self):
-                    self._lock = object()
-                    self._cache = {}
-
-                def fill(self, key, value):
-                    with self._lock:
-                        self._cache[key] = value
-
-                def drop(self):
-                    with self._lock:
-                        self._cache.clear()
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL302"]) == []
-
-    def test_constructor_assignment_does_not_poison_the_intersection(
-        self, tmp_path
-    ):
-        # __init__ installs the field unguarded before the object escapes
-        # (ownership); the accessors share the primitive's implicit token.
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/recommender.py"] = """
-            from ..util.sync import GuardedCache, ReentrantGuard
-
-            class ProfileStore:
-                def __init__(self):
-                    self._guard = ReentrantGuard("s")
-                    self._cache: GuardedCache = GuardedCache("c", guard=self._guard)
-
-                def profile(self, agent):
-                    return self._cache.get_or_build(agent, len)
-
-                def invalidate(self):
-                    with self._guard:
-                        self._cache.invalidate()
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL302"]) == []
-
-
-# ---------------------------------------------------------------------------
-# RL303 — blocking under a guard.
-# ---------------------------------------------------------------------------
-
-RL303_TRIGGER = dict(SYNC_STUB) | {
-    "repro/core/__init__.py": "",
-    "repro/core/work.py": """
-        import time
-
-        class Worker:
-            def __init__(self):
-                self._lock = object()
-
-            def timed(self):
-                with self._lock:
-                    return time.perf_counter()
-
-            def chained(self):
-                with self._lock:
-                    return helper()
-
-        def helper():
-            return open("path")
-    """,
-}
-
-
-class TestBlockingUnderGuard:
-    def test_direct_site_anchors_at_the_with_line(self, tmp_path):
-        findings = lint_project(write_project(tmp_path, RL303_TRIGGER), select=["RL303"])
-        assert codes(findings) == ["RL303", "RL303"]
-        direct = [f for f in findings if "'clock'" in f.message]
-        assert len(direct) == 1
-        source = (tmp_path / "repro/core/work.py").read_text(encoding="utf-8")
-        anchored = source.splitlines()[direct[0].line - 1]
-        assert anchored.strip().startswith("with ")
-        assert "guard:repro.core.work.Worker._lock" in direct[0].message
-
-    def test_inherited_effect_carries_a_witness_chain(self, tmp_path):
-        findings = lint_project(write_project(tmp_path, RL303_TRIGGER), select=["RL303"])
-        chained = [f for f in findings if "'io'" in f.message]
-        assert len(chained) == 1
-        assert (
-            "repro.core.work.Worker.chained -> repro.core.work.helper"
-            in chained[0].message
-        )
-
-    def test_obs_instrumentation_is_allowlisted(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/obs/__init__.py"] = ""
-        files["repro/obs/metrics.py"] = """
-            import time
-
-            def tick():
-                return time.perf_counter()
-        """
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/work.py"] = """
-            from ..obs.metrics import tick
-
-            class Worker:
-                def __init__(self):
-                    self._lock = object()
-
-                def guarded(self):
-                    with self._lock:
-                        return tick()
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL303"]) == []
-
-    def test_suppression_inside_a_multiline_with_header(self, tmp_path):
-        # The finding anchors at the `with (` line; the comment sits on a
-        # later physical line of the same header.  The engine projects
-        # header suppressions onto the anchor — the seed engine did not.
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/work.py"] = """
-            import time
-
-            class Worker:
-                def __init__(self):
-                    self._lock = object()
-
-                def timed(self):
-                    with (
-                        self._lock  # reprolint: disable=RL303
-                    ):
-                        return time.perf_counter()
-        """
-        assert lint_project(write_project(tmp_path, files), select=["RL303"]) == []
-
-
-# ---------------------------------------------------------------------------
 # The analysis layer itself.
 # ---------------------------------------------------------------------------
 
 
 class TestLockSetInference:
-    def test_acquired_guards_mix_with_blocks_and_implicit_tokens(self, tmp_path):
-        files = dict(SYNC_STUB)
-        files["repro/core/__init__.py"] = ""
-        files["repro/core/recommender.py"] = """
-            from ..util.sync import GuardedCache, ReentrantGuard
+    """Guard tokens, observed through which check-then-act tests RL301 spares."""
 
-            class ProfileStore:
-                def __init__(self):
-                    self._guard = ReentrantGuard("s")
-                    self._cache: GuardedCache = GuardedCache("c", guard=self._guard)
-
-                def profile(self, agent):
-                    return self._cache.get_or_build(agent, len)
-
-                def invalidate(self):
-                    with self._guard:
-                        self._cache.invalidate()
-        """
-        analysis = analyze_concurrency(
-            ProjectIndex.build(write_project(tmp_path, files))
-        )
-        guards = analysis.acquired_guards()
-        store = "repro.core.recommender.ProfileStore"
-        assert guards[f"{store}.profile"] == {f"guard:{store}._cache"}
-        assert guards[f"{store}.invalidate"] == {
-            f"guard:{store}._guard",
-            f"guard:{store}._cache",
-        }
-
-    def test_held_context_manager_yields_the_cache_token(self, tmp_path):
+    def test_primitive_token_guards_the_builder(self, tmp_path):
+        # get_or_build runs its builder inside the primitive's section, so
+        # a fill reached only through it is guarded; a direct call is not.
         files = dict(SYNC_STUB)
         files["repro/core/__init__.py"] = ""
         files["repro/core/recommender.py"] = """
@@ -562,91 +221,56 @@ class TestLockSetInference:
             class ProfileStore:
                 def __init__(self):
                     self._cache: GuardedCache = GuardedCache("c")
+                    self._matrix = None
+
+                def guarded(self):
+                    if self._matrix is None:
+                        self._cache.get_or_build("m", self._fill)
+                    return self._matrix
+
+                def unguarded(self):
+                    if self._matrix is None:
+                        self._fill("m")
+                    return self._matrix
+
+                def _fill(self, key):
+                    self._matrix = key
+        """
+        findings = lint_project(write_project(tmp_path, files), select=["RL301"])
+        assert codes(findings) == ["RL301"]
+        assert "ProfileStore.unguarded -> " in findings[0].message
+
+    def test_held_context_manager_guards_the_block(self, tmp_path):
+        files = dict(SYNC_STUB)
+        files["repro/core/__init__.py"] = ""
+        files["repro/core/recommender.py"] = """
+            from ..util.sync import GuardedCache
+
+            class ProfileStore:
+                def __init__(self):
+                    self._cache: GuardedCache = GuardedCache("c")
+                    self._matrix = None
 
                 def compound(self):
                     with self._cache.held():
-                        return 1
+                        if self._matrix is None:
+                            self._matrix = object()
+                    return self._matrix
         """
-        analysis = analyze_concurrency(
-            ProjectIndex.build(write_project(tmp_path, files))
-        )
-        store = "repro.core.recommender.ProfileStore"
-        assert analysis.acquired_guards()[f"{store}.compound"] == {
-            f"guard:{store}._cache"
-        }
-
-
-# ---------------------------------------------------------------------------
-# Pipeline integration: SARIF, baseline, selection.
-# ---------------------------------------------------------------------------
+        assert lint_project(write_project(tmp_path, files), select=["RL301"]) == []
 
 
 class TestPipelineIntegration:
     def test_select_codes_are_registered(self):
-        assert set(RL3XX) <= set(all_rule_codes())
+        assert "RL301" in all_rule_codes()
 
     def test_default_rule_instances_carry_the_codes(self):
-        assert SharedStateRaceRule.code == "RL300"
         assert CheckThenActRule.code == "RL301"
-        assert AtomicPublishRule.code == "RL302"
-        assert BlockingUnderGuardRule.code == "RL303"
-
-    def test_sarif_snapshot(self, tmp_path):
-        findings = lint_project(
-            write_project(tmp_path, RL301_SEED_REPLICA), select=["RL301"]
-        )
-        document = findings_to_sarif(findings)
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        assert [r["ruleId"] for r in run["results"]] == ["RL301"] * 3
-        rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "RL301" in rules
-
-    def test_baseline_add_then_expire(self, tmp_path):
-        paths = write_project(tmp_path, RL301_SEED_REPLICA)
-        findings = lint_project(paths, select=["RL301"])
-        baseline = Baseline.from_findings(findings)
-        assert baseline.apply(findings).ok
-
-        # Pay the debt: convert to the sanctioned primitive.
-        fixed = next(p for p in paths if p.name == "recommender.py")
-        fixed.write_text(
-            textwrap.dedent(
-                """
-                from ..util.sync import GuardedCache
-
-                class ProfileStore:
-                    def __init__(self):
-                        self._cache: GuardedCache = GuardedCache("c")
-
-                    def profile(self, agent):
-                        return self._cache.get_or_build(agent, len)
-                """
-            ),
-            encoding="utf-8",
-        )
-        result = baseline.apply(lint_project(paths, select=["RL301"]))
-        assert not result.ok
-        assert result.new == []
-        assert {entry.code for entry in result.stale} == {"RL301"}
-
-
-# ---------------------------------------------------------------------------
-# Self-check: the repo holds itself to RL300–RL303 with no baseline debt.
-# ---------------------------------------------------------------------------
 
 
 class TestSelfCheck:
     def test_repo_src_is_concurrency_clean(self):
-        findings = lint_project([REPO_ROOT / "src"], select=RL3XX)
+        findings = lint_project([REPO_ROOT / "src"], select=["RL301"])
         assert findings == [], "concurrency findings:\n" + "\n".join(
             f.render() for f in findings
-        )
-
-    def test_baseline_has_zero_concurrency_entries(self):
-        payload = json.loads(
-            (REPO_ROOT / ".reprolint-baseline.json").read_text(encoding="utf-8")
-        )
-        assert all(
-            not entry["code"].startswith("RL30") for entry in payload["entries"]
         )

@@ -1,31 +1,23 @@
-"""Tests for the effect-inference pass and rules RL200–RL203.
+"""Tests for the effect-inference pass and the cache-coherence rule RL200.
 
 Fixture packages are throwaway mini-trees on disk (module names follow
 the ``__init__.py`` chain, so a ``tmp/repro/core/...`` tree produces
 real ``repro.core.*`` names — which is exactly what lets the default
-cache registry and entry-point tables bind to fixture classes).
+cache registry bind to fixture classes).
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main
 from repro.analysis.effects import (
     DEFAULT_CACHE_REGISTRY,
-    EFFECT_TABLE_SCHEMA,
     CacheCoherenceRule,
     CacheSpec,
-    LayerPurityRule,
-    PurityContractRule,
-    SeededRandomnessRule,
     analyze_effects,
-    effect_table,
-    format_effect_table,
 )
 from repro.analysis.engine import lint_project
 from repro.analysis.symbols import ProjectIndex
@@ -183,23 +175,19 @@ class TestDirectEffects:
         assert effects_of(index, "m.shadowed") == frozenset()
 
     def test_external_effects(self, tmp_path):
+        # Calls into code outside the project carry no effect atom; only
+        # writes to caller-visible state do.
         index = build_index(
             tmp_path,
             {
                 "m.py": """
-                    import os
                     import random
                     import time
-                    from concurrent.futures import ProcessPoolExecutor
+
+                    LOG = []
 
                     def draws():
                         return random.random()
-
-                    def seeded():
-                        return random.Random(42)
-
-                    def unseeded():
-                        return random.Random()
 
                     def clocky():
                         return time.perf_counter()
@@ -207,21 +195,18 @@ class TestDirectEffects:
                     def reads():
                         return open("f").read()
 
-                    def harmless():
-                        return os.cpu_count()
+                    def logs(entry):
+                        LOG.append(entry)
 
-                    def forks():
-                        return ProcessPoolExecutor(2)
+                    def sorts(items):
+                        items.sort()
+                        return items
                 """,
             },
         )
-        assert effects_of(index, "m.draws") == {"rng"}
-        assert effects_of(index, "m.seeded") == frozenset()
-        assert effects_of(index, "m.unseeded") == {"rng"}
-        assert effects_of(index, "m.clocky") == {"clock"}
-        assert effects_of(index, "m.reads") == {"io"}
-        assert effects_of(index, "m.harmless") == frozenset()
-        assert effects_of(index, "m.forks") == {"spawns"}
+        for pure in ("m.draws", "m.clocky", "m.reads", "m.sorts"):
+            assert effects_of(index, pure) == frozenset()
+        assert effects_of(index, "m.logs") == {"mutates:global"}
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +220,21 @@ class TestPropagation:
             tmp_path,
             {
                 "m.py": """
-                    import random
+                    SEEN = set()
 
-                    def _jitter():
-                        return random.random()
+                    def _remember(item):
+                        SEEN.add(item)
 
-                    def outer():
-                        return _jitter()
+                    def outer(item):
+                        return _remember(item)
 
-                    def outermost():
-                        return outer()
+                    def outermost(item):
+                        return outer(item)
                 """,
             },
         )
-        assert effects_of(index, "m.outer") == {"rng"}
-        assert effects_of(index, "m.outermost") == {"rng"}
+        assert effects_of(index, "m.outer") == {"mutates:global"}
+        assert effects_of(index, "m.outermost") == {"mutates:global"}
 
     def test_partial_and_dispatch_workers(self, tmp_path):
         index = build_index(
@@ -258,8 +243,10 @@ class TestPropagation:
                 "m.py": """
                     import functools
 
+                    RESULTS = {}
+
                     def worker(x):
-                        return open(x).read()
+                        RESULTS[x] = len(x)
 
                     def via_partial(runner):
                         return runner(functools.partial(worker, "f"))
@@ -269,10 +256,8 @@ class TestPropagation:
                 """,
             },
         )
-        assert "io" in effects_of(index, "m.via_partial")
-        via_map = effects_of(index, "m.via_map")
-        assert "io" in via_map
-        assert "spawns" in via_map
+        assert effects_of(index, "m.via_partial") == {"mutates:global"}
+        assert effects_of(index, "m.via_map") == {"mutates:global"}
 
     def test_constructor_does_not_import_init_effects(self, tmp_path):
         index = build_index(
@@ -290,18 +275,20 @@ class TestPropagation:
         )
         assert effects_of(index, "m.fresh") == frozenset()
 
-    def test_local_receiver_masks_self_mutation_but_not_io(self, tmp_path):
+    def test_local_receiver_masks_only_self_mutation(self, tmp_path):
         index = build_index(
             tmp_path,
             {
                 "m.py": """
+                    LOG = []
+
                     class Builder:
                         def __init__(self):
                             self.parts = []
 
                         def add(self, part):
                             self.parts.append(part)
-                            print(part)
+                            LOG.append(part)
 
                     def assemble():
                         builder = Builder()
@@ -314,11 +301,11 @@ class TestPropagation:
             },
         )
         # assemble builds fresh state: the self-mutation is invisible to
-        # its callers, the io side effect is not.
-        assert effects_of(index, "m.assemble") == {"io"}
+        # its callers, the write to the module global is not.
+        assert effects_of(index, "m.assemble") == {"mutates:global"}
         # the same method on a *parameter* mutates caller-visible state
         assert effects_of(index, "m.mutate_shared") == {
-            "io",
+            "mutates:global",
             "mutates:m.Builder.parts",
         }
 
@@ -327,10 +314,12 @@ class TestPropagation:
             tmp_path,
             {
                 "m.py": """
+                    VISITS = []
+
                     def even(n):
                         if n == 0:
                             return True
-                        print(n)
+                        VISITS.append(n)
                         return odd(n - 1)
 
                     def odd(n):
@@ -340,101 +329,25 @@ class TestPropagation:
                 """,
             },
         )
-        assert effects_of(index, "m.even") == {"io"}
-        assert effects_of(index, "m.odd") == {"io"}
+        assert effects_of(index, "m.even") == {"mutates:global"}
+        assert effects_of(index, "m.odd") == {"mutates:global"}
 
     def test_nested_function_bodies_count(self, tmp_path):
         index = build_index(
             tmp_path,
             {
                 "m.py": """
+                    CALLS = []
+
                     def outer(items):
                         def key(item):
-                            return open(item).read()
+                            CALLS.append(item)
+                            return item
                         return sorted(items, key=key)
                 """,
             },
         )
-        assert "io" in effects_of(index, "m.outer")
-
-
-# ---------------------------------------------------------------------------
-# The serialized table.
-# ---------------------------------------------------------------------------
-
-
-class TestEffectTable:
-    FILES = {
-        "pkg/__init__.py": "",
-        "pkg/m.py": """
-            import threading
-            import time
-
-            class Store:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._cache = {}
-
-                def fill(self, key):
-                    self._cache[key] = time.perf_counter()
-
-                def locked_fill(self, key, value):
-                    with self._lock:
-                        self._cache[key] = value
-
-            def pure(x):
-                return x + 1
-        """,
-    }
-
-    def test_golden(self, tmp_path):
-        table = effect_table(build_index(tmp_path, self.FILES))
-        assert table["schema"] == EFFECT_TABLE_SCHEMA
-        assert table["functions"] == {
-            # __init__'s own writes are recorded; they simply never
-            # propagate into constructors (fresh-object init is not a
-            # caller-visible mutation)
-            "pkg.m.Store.__init__": {
-                "effects": [
-                    "mutates:pkg.m.Store._cache",
-                    "mutates:pkg.m.Store._lock",
-                ],
-                "guards": [],
-            },
-            "pkg.m.Store.fill": {
-                "effects": ["clock", "mutates:pkg.m.Store._cache"],
-                "guards": [],
-            },
-            "pkg.m.Store.locked_fill": {
-                "effects": ["mutates:pkg.m.Store._cache"],
-                "guards": ["guard:pkg.m.Store._lock"],
-            },
-            "pkg.m.pure": {"effects": [], "guards": []},
-        }
-
-    def test_serialization_is_deterministic(self, tmp_path):
-        first = format_effect_table(build_index(tmp_path / "a", self.FILES))
-        second = format_effect_table(build_index(tmp_path / "b", self.FILES))
-        assert first == second
-        assert json.loads(first)["schema"] == EFFECT_TABLE_SCHEMA
-
-    def test_cli_effects_file(self, tmp_path):
-        write_project(tmp_path / "proj", self.FILES)
-        out = tmp_path / "effects.json"
-        rc = main([str(tmp_path / "proj"), "--effects", str(out)])
-        assert rc == 0
-        table = json.loads(out.read_text(encoding="utf-8"))
-        assert table["schema"] == EFFECT_TABLE_SCHEMA
-        assert "pkg.m.Store.fill" in table["functions"]
-
-    def test_cli_effects_stdout(self, tmp_path, capsys):
-        write_project(tmp_path / "proj", self.FILES)
-        rc = main([str(tmp_path / "proj"), "--effects", "-"])
-        assert rc == 0
-        payload = capsys.readouterr().out
-        # the lint report follows the table on stdout
-        table_text = payload[: payload.rfind("}") + 1]
-        assert json.loads(table_text)["schema"] == EFFECT_TABLE_SCHEMA
+        assert effects_of(index, "m.outer") == {"mutates:global"}
 
 
 # ---------------------------------------------------------------------------
@@ -615,245 +528,6 @@ class TestCacheCoherenceRule:
 
 
 # ---------------------------------------------------------------------------
-# RL201 — purity contract.
-# ---------------------------------------------------------------------------
-
-
-class TestPurityContractRule:
-    def run(self, tmp_path, files):
-        index = build_index(tmp_path, {**_RL200_BASE, **files})
-        return list(PurityContractRule().check_project(index))
-
-    def test_mutating_entry_point_flagged(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/similarity.py": """
-                    from .models import Dataset
-
-                    def top_similar(dataset: Dataset, agent):
-                        dataset.ratings[agent] = 1
-                        return []
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["RL201"]
-        assert "top_similar" in findings[0].message
-        assert "Dataset.ratings" in findings[0].message
-
-    def test_declared_cache_fill_is_clean(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/similarity.py": """
-                    from .recommender import ProfileStore
-
-                    def top_similar(store: ProfileStore, agent):
-                        store._cache[agent] = ()
-                        return []
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_non_entry_point_not_covered(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/similarity.py": """
-                    from .models import Dataset
-
-                    def helper(dataset: Dataset, agent):
-                        dataset.ratings[agent] = 1
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_obs_instrumentation_allowlisted(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/obs/__init__.py": "",
-                "repro/obs/metrics.py": """
-                    class Counter:
-                        def __init__(self):
-                            self.value = 0
-
-                        def inc(self):
-                            self.value += 1
-
-                    COUNTER = Counter()
-
-                    def bump():
-                        COUNTER.inc()
-                """,
-                "repro/core/similarity.py": """
-                    from ..obs.metrics import bump
-
-                    def top_similar(profiles, agent):
-                        bump()
-                        return []
-                """,
-            },
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL202 — interprocedural seeded randomness.
-# ---------------------------------------------------------------------------
-
-
-class TestSeededRandomnessRule:
-    def run(self, tmp_path, files):
-        index = build_index(
-            tmp_path, {"repro/__init__.py": "", "repro/core/__init__.py": "", **files}
-        )
-        return list(SeededRandomnessRule().check_project(index))
-
-    def test_hidden_rng_behind_helper_flagged(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/similarity.py": """
-                    import random
-
-                    def _tie_break():
-                        return random.random()
-
-                    def top_similar(profiles, agent):
-                        return sorted(profiles, key=lambda _: _tie_break())
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["RL202"]
-        # the witness path names the helper that actually draws
-        assert "_tie_break" in findings[0].message
-
-    def test_injected_generator_is_clean(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/similarity.py": """
-                    def top_similar(profiles, agent, rng):
-                        return sorted(profiles, key=lambda _: rng.random())
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_experiment_entry_points_covered(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/evaluation/__init__.py": "",
-                "repro/evaluation/experiments.py": """
-                    import random
-
-                    def run_ex99():
-                        return random.random()
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["RL202"]
-
-
-# ---------------------------------------------------------------------------
-# RL203 — layer purity.
-# ---------------------------------------------------------------------------
-
-
-class TestLayerPurityRule:
-    def run(self, tmp_path, files):
-        index = build_index(
-            tmp_path, {"repro/__init__.py": "", "repro/core/__init__.py": "", **files}
-        )
-        return list(LayerPurityRule().check_project(index))
-
-    def test_clock_in_core_flagged(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/engine.py": """
-                    import time
-
-                    def timed(func):
-                        start = time.perf_counter()
-                        func()
-                        return time.perf_counter() - start
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["RL203"]
-        assert "'clock'" in findings[0].message
-        assert "Stopwatch" in findings[0].message
-
-    def test_io_in_core_flagged(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/loader.py": """
-                    def load(path):
-                        return open(path).read()
-                """,
-            },
-        )
-        assert [f.code for f in findings] == ["RL203"]
-
-    def test_only_the_introducer_is_flagged(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/core/loader.py": """
-                    def load(path):
-                        return open(path).read()
-
-                    def load_all(paths):
-                        return [load(p) for p in paths]
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "load " in findings[0].message or "loader.load " in findings[0].message
-
-    def test_obs_stopwatch_allowlisted(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/obs/__init__.py": "",
-                "repro/obs/stopwatch.py": """
-                    import time
-
-                    class Stopwatch:
-                        def elapsed(self):
-                            return time.perf_counter()
-                """,
-                "repro/core/engine.py": """
-                    from ..obs.stopwatch import Stopwatch
-
-                    def timed(stopwatch: Stopwatch):
-                        return stopwatch.elapsed()
-                """,
-            },
-        )
-        assert [f.code for f in findings] == []
-
-    def test_outside_layers_not_covered(self, tmp_path):
-        findings = self.run(
-            tmp_path,
-            {
-                "repro/datasets/__init__.py": "",
-                "repro/datasets/loader.py": """
-                    def load(path):
-                        return open(path).read()
-                """,
-            },
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # The real repository.
 # ---------------------------------------------------------------------------
 
@@ -864,10 +538,6 @@ def repo_index() -> ProjectIndex:
 
 
 class TestRepoEffects:
-    def test_table_is_deterministic(self, repo_index):
-        again = ProjectIndex.build(sorted((REPO_ROOT / "src").rglob("*.py")))
-        assert format_effect_table(repo_index) == format_effect_table(again)
-
     def test_invalidators_cover_the_profile_pairing(self, repo_index):
         effects = analyze_effects(repo_index).effects()
         spec = next(
@@ -898,11 +568,13 @@ class TestRepoEffects:
             for atom in atoms
         )
 
-    def test_query_paths_carry_no_rng(self, repo_index):
+    def test_query_paths_are_pure(self, repo_index):
+        # Cache fills go through get_or_build, a guarded read, so a query
+        # mutates nothing a caller can see.
         effects = analyze_effects(repo_index).effects()
         for qualname in (
             "repro.core.recommender.SemanticWebRecommender.recommend",
             "repro.core.similarity.top_similar",
             "repro.trust.appleseed.Appleseed.compute",
         ):
-            assert "rng" not in effects[qualname]
+            assert effects[qualname] == frozenset()

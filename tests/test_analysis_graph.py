@@ -1,4 +1,4 @@
-"""Tests for the reprograph whole-program pass (RL100–RL104).
+"""Tests for the symbol table and the layering contract (RL100).
 
 Fixtures build throwaway mini-packages on disk (the symbol table derives
 module names from the ``__init__.py`` chain, so a ``tmp/repro/web/...``
@@ -8,20 +8,15 @@ graph rule over the resulting :class:`ProjectIndex` or the full CLI.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main
 from repro.analysis.contracts import ArchitectureContractRule, layer_of
-from repro.analysis.dataflow import ForkSafetyRule, TaintRule
-from repro.analysis.engine import Finding, LintEngine, lint_project
-from repro.analysis.graph import DeadModuleRule, ImportCycleRule, ModuleGraph
+from repro.analysis.engine import LintEngine
 from repro.analysis.rules import DEFAULT_GRAPH_RULES, DEFAULT_RULES, all_rule_codes
-from repro.analysis.sarif import findings_to_sarif, format_findings_sarif
 from repro.analysis.symbols import ProjectIndex, module_name_for_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -203,6 +198,25 @@ class TestArchitectureContract:
         )
         assert codes(findings) == ["RL100"]
 
+    def test_declared_core_to_trust_edges_stay_clean(self, tmp_path):
+        # The §3.2 pipeline's three declared module edges, at module scope.
+        findings = self._findings(
+            tmp_path,
+            {
+                "repro/__init__.py": "",
+                "repro/core/__init__.py": "",
+                "repro/core/neighborhood.py": (
+                    "from ..trust.appleseed import Appleseed\n"
+                    "from ..trust.graph import TrustGraph\n"
+                ),
+                "repro/core/recommender.py": "from ..trust.graph import TrustGraph\n",
+                "repro/trust/__init__.py": "",
+                "repro/trust/appleseed.py": "",
+                "repro/trust/graph.py": "",
+            },
+        )
+        assert findings == []
+
     def test_type_checking_import_always_allowed(self, tmp_path):
         findings = self._findings(
             tmp_path,
@@ -222,274 +236,6 @@ class TestArchitectureContract:
         assert findings == []
 
 
-TAINT_SINK = {
-    "repro/__init__.py": (
-        "from .web import crawler\nfrom .trust import appleseed\n"
-    ),
-    "repro/trust/__init__.py": "",
-    "repro/trust/appleseed.py": """
-        def spread(weight):
-            return weight
-    """,
-    "repro/web/__init__.py": "",
-}
-
-
-class TestTaint:
-    def _findings(self, tmp_path, crawler_source):
-        files = dict(TAINT_SINK)
-        files["repro/web/crawler.py"] = crawler_source
-        index = build_index(tmp_path, files)
-        return list(TaintRule().check_project(index))
-
-    def test_direct_unclamped_flow_flagged(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                value = float(document)
-                return spread(value)
-            """,
-        )
-        assert codes(findings) == ["RL101"]
-        assert "repro.trust.appleseed.spread" in findings[0].message
-
-    def test_interprocedural_return_carries_taint(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from repro.trust.appleseed import spread
-
-            def parse(document):
-                weights = {}
-                weights["x"] = float(document)
-                return sorted(weights.items())
-
-            def consume(document):
-                return spread(parse(document))
-            """,
-        )
-        assert codes(findings) == ["RL101"]
-
-    def test_clamped_flow_is_clean(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from repro.core.models import clamp_score
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                value = clamp_score(float(document))
-                return spread(value)
-            """,
-        )
-        assert findings == []
-
-    def test_validated_constructor_is_clean(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from repro.core.models import TrustStatement
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                statement = TrustStatement(
-                    source="a", target="b", value=float(document)
-                )
-                return spread(statement)
-            """,
-        )
-        assert findings == []
-
-    def test_manual_minmax_is_not_a_recognized_sanitizer(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                value = min(max(float(document), -1.0), 1.0)
-                return spread(value)
-            """,
-        )
-        assert codes(findings) == ["RL101"]
-
-    def test_non_source_module_float_not_tainted(self, tmp_path):
-        files = dict(TAINT_SINK)
-        files["repro/web/crawler.py"] = ""
-        files["repro/evaluation/__init__.py"] = """
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                return spread(float(document))
-        """
-        index = build_index(tmp_path, files)
-        assert list(TaintRule().check_project(index)) == []
-
-
-class TestForkSafety:
-    def _findings(self, tmp_path, worker_module):
-        index = build_index(
-            tmp_path,
-            {
-                "repro/__init__.py": "from .perf import jobs\n",
-                "repro/perf/__init__.py": "",
-                "repro/perf/jobs.py": worker_module,
-            },
-        )
-        return list(ForkSafetyRule().check_project(index))
-
-    def test_worker_reading_module_cache_flagged(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            _CACHE = {}
-
-            def worker(item):
-                return _CACHE.get(item)
-
-            def run(runner, items):
-                return runner.map(worker, items)
-            """,
-        )
-        assert codes(findings) == ["RL102"]
-        assert "_CACHE" in findings[0].message
-
-    def test_worker_reading_module_rng_flagged(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            import random
-
-            _RNG = random.Random(7)
-
-            def worker(item):
-                return item * _RNG.random()
-
-            def run(runner, items):
-                return runner.map_seeded(worker, items)
-            """,
-        )
-        assert codes(findings) == ["RL102"]
-        assert "RNG state" in findings[0].message
-
-    def test_partial_wrapped_worker_resolved(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            from functools import partial
-
-            _CACHE = {}
-
-            def worker(config, item):
-                return _CACHE.get(item), config
-
-            def run(runner, items):
-                return runner.submit(partial(worker, "cfg"), items)
-            """,
-        )
-        assert codes(findings) == ["RL102"]
-
-    def test_clean_worker_passes(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            _CACHE = {}
-
-            def lookup(item):
-                return _CACHE.get(item)
-
-            def worker(item):
-                cache = {}
-                return cache.get(item)
-
-            def run(runner, items):
-                return runner.map(worker, items)
-            """,
-        )
-        assert findings == []
-
-    def test_local_shadowing_is_not_a_hazard(self, tmp_path):
-        findings = self._findings(
-            tmp_path,
-            """
-            _CACHE = {}
-
-            def worker(item, _CACHE=None):
-                return _CACHE
-
-            def run(runner, items):
-                return runner.map(worker, items)
-            """,
-        )
-        assert findings == []
-
-
-class TestImportCycles:
-    def test_module_scope_cycle_flagged(self, tmp_path):
-        index = build_index(
-            tmp_path,
-            {
-                "repro/__init__.py": "from . import a\n",
-                "repro/a.py": "from repro import b\n",
-                "repro/b.py": "from repro import a\n",
-            },
-        )
-        findings = list(ImportCycleRule().check_project(index))
-        assert codes(findings) == ["RL104"]
-        assert "repro.a -> repro.b -> repro.a" in findings[0].message
-
-    def test_lazy_edge_breaks_cycle(self, tmp_path):
-        index = build_index(
-            tmp_path,
-            {
-                "repro/__init__.py": "from . import a\n",
-                "repro/a.py": "from repro import b\n",
-                "repro/b.py": """
-                    def late():
-                        from repro import a
-                        return a
-                """,
-            },
-        )
-        assert list(ImportCycleRule().check_project(index)) == []
-
-
-class TestDeadModules:
-    def test_orphan_module_flagged(self, tmp_path):
-        index = build_index(
-            tmp_path,
-            {
-                "repro/__init__.py": "from . import used\n",
-                "repro/used.py": "",
-                "repro/orphan.py": "",
-            },
-        )
-        findings = list(DeadModuleRule().check_project(index))
-        assert codes(findings) == ["RL103"]
-        assert "repro.orphan" in findings[0].message
-
-    def test_without_package_root_rule_stays_silent(self, tmp_path):
-        index = build_index(tmp_path, {"repro/orphan_standalone.py": ""})
-        assert list(DeadModuleRule().check_project(index)) == []
-
-    def test_reachability_includes_parent_packages(self, tmp_path):
-        index = build_index(
-            tmp_path,
-            {
-                "repro/__init__.py": "from .web import crawler\n",
-                "repro/web/__init__.py": "from . import helper\n",
-                "repro/web/crawler.py": "",
-                "repro/web/helper.py": "",
-            },
-        )
-        graph = ModuleGraph(index)
-        live = graph.reachable(("repro",))
-        assert {"repro", "repro.web", "repro.web.crawler", "repro.web.helper"} <= live
-
-
 class TestEngineIntegration:
     def test_one_pass_reports_file_and_graph_findings(self, tmp_path):
         files = write_project(
@@ -499,7 +245,7 @@ class TestEngineIntegration:
                 "repro/core/__init__.py": "",
                 "repro/core/bad.py": (
                     "from repro.trust import metric\n\n"
-                    "LEVEL = metric.weight(trust=1.5)\n"
+                    "LEVELS = list({metric.LOW, metric.HIGH})\n"
                 ),
                 "repro/trust/__init__.py": "",
                 "repro/trust/metric.py": "",
@@ -508,7 +254,7 @@ class TestEngineIntegration:
         engine = LintEngine(DEFAULT_RULES, graph_rules=DEFAULT_GRAPH_RULES)
         found = codes(engine.lint_project([tmp_path]))
         assert "RL100" in found  # graph rule
-        assert "RL006" in found  # file rule, same invocation
+        assert "RL005" in found  # file rule, same invocation
 
     def test_suppression_comment_silences_graph_finding(self, tmp_path):
         write_project(
@@ -538,66 +284,17 @@ class TestEngineIntegration:
             },
         )
         engine = LintEngine(
-            DEFAULT_RULES, select={"RL104"}, graph_rules=DEFAULT_GRAPH_RULES
+            DEFAULT_RULES, select={"RL200"}, graph_rules=DEFAULT_GRAPH_RULES
         )
         assert engine.lint_project([tmp_path]) == []
 
     def test_all_rule_codes_covers_graph_rules(self):
         registered = all_rule_codes()
-        for code in ("RL001", "RL100", "RL101", "RL102", "RL103", "RL104"):
+        for code in ("RL100", "RL200", "RL301"):
             assert code in registered
 
 
-GOLDEN_FINDINGS = [
-    Finding(
-        path="src/repro/core/bad.py",
-        line=3,
-        column=1,
-        code="RL100",
-        message="layer 'core' imports 'repro.trust.metric' (layer 'trust')",
-        summary="import violates the package layering contract",
-    ),
-    Finding(
-        path="src/repro/web/crawler.py",
-        line=12,
-        column=9,
-        code="RL101",
-        message="value parsed from untrusted web content flows into repro.trust.appleseed.spread",
-        summary="untrusted parsed value reaches a scoring sink without clamp/validate",
-    ),
-]
-
-
-class TestSarif:
-    def test_matches_golden_file(self):
-        golden = REPO_ROOT / "tests" / "data" / "reprolint_golden.sarif"
-        assert format_findings_sarif(GOLDEN_FINDINGS) == golden.read_text(
-            encoding="utf-8"
-        ).rstrip("\n")
-
-    def test_document_structure(self):
-        doc = findings_to_sarif(GOLDEN_FINDINGS)
-        assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-            "RL100",
-            "RL101",
-        ]
-        assert [r["ruleId"] for r in run["results"]] == ["RL100", "RL101"]
-        location = run["results"][0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/core/bad.py"
-        assert location["region"] == {"startLine": 3, "startColumn": 1}
-
-    def test_empty_findings_valid_document(self):
-        doc = findings_to_sarif([])
-        assert doc["runs"][0]["results"] == []
-        assert doc["runs"][0]["tool"]["driver"]["rules"] == []
-
-
 VIOLATION_TREE = {
-    # __init__ re-exports both subsystems so editing bad.py never turns
-    # repro.trust into RL103 dead-module noise.
     "repro/__init__.py": "from .core import bad\nfrom .trust import metric\n",
     "repro/core/__init__.py": "",
     "repro/core/bad.py": "from repro.trust import metric\n",
@@ -606,180 +303,25 @@ VIOLATION_TREE = {
 }
 
 
-class TestBaselineWorkflow:
-    def test_findings_match_then_expire(self, tmp_path):
-        files = write_project(tmp_path, VIOLATION_TREE)
-        findings = lint_project([tmp_path])
-        assert codes(findings) == ["RL100"]
-
-        baseline = Baseline.from_findings(findings)
-        result = baseline.apply(findings)
-        assert result.ok
-        assert codes(result.suppressed) == ["RL100"]
-
-        # Pay the debt: the finding disappears, the entry goes stale.
-        bad = files[2]
-        assert bad.name == "bad.py"
-        bad.write_text("", encoding="utf-8")
-        result = baseline.apply(lint_project([tmp_path]))
-        assert not result.ok
-        assert result.new == []
-        assert [e.code for e in result.stale] == ["RL100"]
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        files = write_project(tmp_path, VIOLATION_TREE)
-        baseline = Baseline.from_findings(lint_project([tmp_path]))
-        bad = files[2]
-        bad.write_text(
-            '"""Docstring pushing the import down."""\n\n\n'
-            + bad.read_text(encoding="utf-8"),
-            encoding="utf-8",
-        )
-        result = baseline.apply(lint_project([tmp_path]))
-        assert result.ok
-
-    def test_new_finding_not_covered(self, tmp_path):
-        files = write_project(tmp_path, VIOLATION_TREE)
-        baseline = Baseline.from_findings(lint_project([tmp_path]))
-        bad = files[2]
-        bad.write_text(
-            bad.read_text(encoding="utf-8")
-            + "from repro.trust import metric as second\n",
-            encoding="utf-8",
-        )
-        result = baseline.apply(lint_project([tmp_path]))
-        assert not result.ok
-        assert codes(result.new) == ["RL100"]
-        assert codes(result.suppressed) == ["RL100"]  # the original, still covered
-
-    def test_roundtrip_through_file(self, tmp_path):
-        write_project(tmp_path, VIOLATION_TREE)
-        findings = lint_project([tmp_path])
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).write(path)
-        reloaded = Baseline.load(path)
-        assert reloaded.apply(findings).ok
-        assert json.loads(path.read_text(encoding="utf-8"))["version"] == 1
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert baseline.entries == []
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "entries": []}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestCli:
     def test_seeded_layering_violation_exits_nonzero(self, tmp_path, capsys):
         write_project(tmp_path, VIOLATION_TREE)
         assert main([str(tmp_path)]) == 1
         assert "RL100" in capsys.readouterr().out
 
-    def test_seeded_taint_path_exits_nonzero(self, tmp_path, capsys):
-        files = dict(TAINT_SINK)
-        files["repro/web/crawler.py"] = """
-            from repro.trust.appleseed import spread
-
-            def consume(document):
-                return spread(float(document))
-        """
-        write_project(tmp_path, files)
-        assert main([str(tmp_path)]) == 1
-        assert "RL101" in capsys.readouterr().out
-
-    def test_write_then_check_baseline_roundtrip(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        baseline_path = tmp_path / "baseline.json"
-        assert (
-            main([str(tmp_path), "--baseline", str(baseline_path), "--write-baseline"])
-            == 0
-        )
-        assert main([str(tmp_path), "--baseline", str(baseline_path)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined legacy finding(s) suppressed" in out
-
-    def test_stale_baseline_entry_fails(self, tmp_path, capsys):
-        files = write_project(tmp_path, VIOLATION_TREE)
-        baseline_path = tmp_path / "baseline.json"
-        main([str(tmp_path), "--baseline", str(baseline_path), "--write-baseline"])
-        files[2].write_text("", encoding="utf-8")
-        assert main([str(tmp_path), "--baseline", str(baseline_path)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_sarif_file_written(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        sarif_path = tmp_path / "out.sarif"
-        assert main([str(tmp_path), "--sarif", str(sarif_path)]) == 1
-        capsys.readouterr()
-        document = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert document["version"] == "2.1.0"
-        assert [r["ruleId"] for r in document["runs"][0]["results"]] == ["RL100"]
-
-    def test_sarif_under_baseline_reports_only_new_findings(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        baseline_path = tmp_path / "baseline.json"
-        sarif_path = tmp_path / "out.sarif"
-        main([str(tmp_path), "--baseline", str(baseline_path), "--write-baseline"])
-        assert (
-            main(
-                [
-                    str(tmp_path),
-                    "--baseline",
-                    str(baseline_path),
-                    "--sarif",
-                    str(sarif_path),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        document = json.loads(sarif_path.read_text(encoding="utf-8"))
-        assert document["runs"][0]["results"] == []
-
-    def test_sarif_stdout_format(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        assert main([str(tmp_path), "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-
-    def test_write_baseline_requires_baseline_flag(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        assert main([str(tmp_path), "--write-baseline"]) == 2
-        assert "--write-baseline requires" in capsys.readouterr().err
-
     def test_list_rules_includes_graph_codes(self, capsys):
         assert main(["--list-rules", "."]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL100", "RL101", "RL102", "RL103", "RL104"):
+        for code in ("RL100", "RL200", "RL301"):
             assert code in out
 
 
 class TestSelfCheck:
-    """The repo must hold itself to the RL1xx rules (modulo the baseline)."""
+    """The repo must hold itself to every rule, with no baseline."""
 
     def test_repo_is_clean_under_graph_rules(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        targets = [
-            path
-            for path in ("src", "tests", "benchmarks", "examples")
-            if Path(path).exists()
-        ]
-        findings = lint_project(targets)
-        baseline = Baseline.load(".reprolint-baseline.json")
-        result = baseline.apply(findings)
-        assert result.new == [], "non-baselined findings:\n" + "\n".join(
-            f.render() for f in result.new
-        )
-        assert result.stale == [], "stale baseline entries: " + ", ".join(
-            f"{e.path}:{e.code}" for e in result.stale
-        )
-
-    def test_baseline_only_contains_known_legacy_debt(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        baseline = Baseline.load(".reprolint-baseline.json")
-        # The accepted debt is the core→trust inversion, nothing else.
-        assert {e.code for e in baseline.entries} == {"RL100"}
-        assert all(e.path.startswith("src/repro/core/") for e in baseline.entries)
+        findings = LintEngine(
+            DEFAULT_RULES, graph_rules=DEFAULT_GRAPH_RULES
+        ).lint_project(["src", "tests", "benchmarks", "examples"])
+        assert findings == [], "findings:\n" + "\n".join(f.render() for f in findings)

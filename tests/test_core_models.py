@@ -103,7 +103,7 @@ class TestTrustStatement:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            TrustStatement(source="a", target="b", value=1.5)  # reprolint: disable=RL006
+            TrustStatement(source="a", target="b", value=1.5)
 
     def test_distrust_allowed(self):
         statement = TrustStatement(source="a", target="b", value=-0.7)

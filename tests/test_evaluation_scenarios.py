@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.datasets.generators import CommunityConfig, generate_community
@@ -120,17 +122,17 @@ class TestEpochDeterminism:
     def test_repeated_runs_identical(self, community):
         assert self.render(community, None) == self.render(community, None)
 
-    def test_parallel_matches_serial(self, community):
+    def test_parallel_matches_serial(self, community, finishes):
         serial = self.render(community, None)
         for workers in (2, 3):
             runner = ParallelExperimentRunner(max_workers=workers, mode="process")
-            assert self.render(community, runner) == serial
+            assert finishes(partial(self.render, community, runner)) == serial
 
     def test_serial_runner_matches_none(self, community):
         runner = ParallelExperimentRunner(mode="serial")
         assert self.render(community, runner) == self.render(community, None)
 
-    def test_ex22_parallel_matches_serial(self, community):
+    def test_ex22_parallel_matches_serial(self, community, finishes):
         kwargs = dict(
             community=community,
             bridge_rates=(1,),
@@ -140,4 +142,5 @@ class TestEpochDeterminism:
         )
         serial = run_ex22_evolving_sybil(**kwargs).render()
         runner = ParallelExperimentRunner(max_workers=2, mode="process")
-        assert run_ex22_evolving_sybil(runner=runner, **kwargs).render() == serial
+        parallel = finishes(lambda: run_ex22_evolving_sybil(runner=runner, **kwargs))
+        assert parallel.render() == serial

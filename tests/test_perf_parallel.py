@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.recommender import PopularityRecommender
 from repro.evaluation.experiments import run_ex05_profile_overlap
 from repro.evaluation.protocol import evaluate_recommender, holdout_split
+from repro.obs import Tracer, get_tracer, tracing
 from repro.perf.parallel import (
     ParallelExperimentRunner,
     derive_seed,
@@ -30,6 +31,10 @@ def _square(value: int) -> int:
 
 def _seeded_draw(item: int, seed: int) -> tuple[int, float]:
     return item, random.Random(seed).random()
+
+
+def _tracer_kind(_: int) -> str:
+    return type(get_tracer()).__name__
 
 
 class TestSplitEvenly:
@@ -75,22 +80,19 @@ class TestRunner:
         assert runner.map(_square, [3, 1, 2]) == [9, 1, 4]
         assert runner.effective_workers() == 1
 
-    def test_process_map_matches_serial(self):
+    def test_process_map_matches_serial(self, finishes):
         items = list(range(7))
         serial = ParallelExperimentRunner(mode="serial").map(_square, items)
-        parallel = ParallelExperimentRunner(max_workers=2, mode="process").map(
-            _square, items
-        )
-        assert parallel == serial
+        runner = ParallelExperimentRunner(max_workers=2, mode="process")
+        assert finishes(lambda: runner.map(_square, items)) == serial
 
-    def test_map_seeded_is_schedule_independent(self):
+    def test_map_seeded_is_schedule_independent(self, finishes):
         items = list(range(6))
         serial = ParallelExperimentRunner(mode="serial").map_seeded(
             _seeded_draw, items, seed=42
         )
-        parallel = ParallelExperimentRunner(max_workers=3, mode="process").map_seeded(
-            _seeded_draw, items, seed=42
-        )
+        runner = ParallelExperimentRunner(max_workers=3, mode="process")
+        parallel = finishes(lambda: runner.map_seeded(_seeded_draw, items, seed=42))
         assert parallel == serial
         # Seeds derive from (seed, index): same item at another index draws
         # differently, so results encode position, not worker identity.
@@ -101,30 +103,42 @@ class TestRunner:
         result = runner.map_chunked(lambda chunk: [x + 1 for x in chunk], [1, 2, 3, 4])
         assert result == [2, 3, 4, 5]
 
+    def test_pool_workers_run_on_the_null_tracer(self, finishes):
+        # Spawned workers start from a fresh interpreter; forked ones
+        # would inherit the parent's live Tracer binding.
+        runner = ParallelExperimentRunner(max_workers=2, mode="process")
+        with tracing(Tracer()):
+            kinds = finishes(lambda: runner.map(_tracer_kind, [0, 1]))
+        assert kinds == ["NullTracer", "NullTracer"]
+
 
 class TestParallelEvaluation:
     """Experiment outputs must be byte-identical under any worker count."""
 
-    def test_evaluate_recommender_parallel_identical(self, small_community):
+    def test_evaluate_recommender_parallel_identical(self, small_community, finishes):
         split = holdout_split(
             small_community.dataset, per_user=3, min_ratings=8, max_users=12, seed=3
         )
         recommender = PopularityRecommender(dataset=split.train)
         serial = evaluate_recommender("pop", recommender, split, top_n=10)
-        parallel = evaluate_recommender(
-            "pop",
-            recommender,
-            split,
-            top_n=10,
-            runner=ParallelExperimentRunner(max_workers=2, mode="process"),
+        parallel = finishes(
+            lambda: evaluate_recommender(
+                "pop",
+                recommender,
+                split,
+                top_n=10,
+                runner=ParallelExperimentRunner(max_workers=2, mode="process"),
+            )
         )
         assert parallel == serial
 
-    def test_ex05_parallel_identical(self, small_community):
+    def test_ex05_parallel_identical(self, small_community, finishes):
         serial = run_ex05_profile_overlap(small_community, n_pairs=80)
-        parallel = run_ex05_profile_overlap(
-            small_community,
-            n_pairs=80,
-            runner=ParallelExperimentRunner(max_workers=2, mode="process"),
+        parallel = finishes(
+            lambda: run_ex05_profile_overlap(
+                small_community,
+                n_pairs=80,
+                runner=ParallelExperimentRunner(max_workers=2, mode="process"),
+            )
         )
         assert parallel.render() == serial.render()

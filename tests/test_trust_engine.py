@@ -11,6 +11,7 @@ sources, all-negative edge sets, weight-zero statements.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -259,7 +260,7 @@ class TestResolver:
 
 
 class TestRankMany:
-    def test_identical_across_worker_counts(self):
+    def test_identical_across_worker_counts(self, finishes):
         """Serial and 1/2/8-worker sharded sweeps return equal results."""
         from repro.perf.parallel import ParallelExperimentRunner
 
@@ -269,7 +270,9 @@ class TestRankMany:
         assert [r.source for r in serial] == sources
         for workers in (1, 2, 8):
             runner = ParallelExperimentRunner(max_workers=workers)
-            sharded = rank_many(graph, sources, engine="auto", runner=runner)
+            sharded = finishes(
+                partial(rank_many, graph, sources, engine="auto", runner=runner)
+            )
             assert sharded == serial
 
     def test_numpy_sweep_matches_oracle_sweep(self):
