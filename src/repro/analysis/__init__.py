@@ -5,7 +5,7 @@ hard range invariants, and the reproduction adds contracts of its own:
 same-seed determinism, the 1e-9 dual-engine equivalence, caches that
 stay coherent under every mutation path.  The validating constructors
 and the test suite enforce most of that at runtime; this package keeps
-the six static checks that each caught a real defect or alone guard a
+the five static checks that each caught a real defect or alone guard a
 standing invariant (``docs/ANALYSIS.md`` gives the record):
 
 * :mod:`repro.analysis.engine` — the rule registry, per-file AST visitor,
@@ -20,18 +20,15 @@ standing invariant (``docs/ANALYSIS.md`` gives the record):
 * :mod:`repro.analysis.contracts` — the declarative package layering
   contract, enforced as ``RL100``.
 * :mod:`repro.analysis.effects` — interprocedural ``mutates:`` effect
-  inference and the cache-coherence rule ``RL200``.
-* :mod:`repro.analysis.concurrency` — lock-set inference over the effect
-  scan and the check-then-act rule ``RL301``, treating the
-  :mod:`repro.util.sync` primitives (``GuardedCache``, ``AtomicSwap``,
-  ``ReentrantGuard``) as sanitizers.
+  inference and the cache-coherence rule ``RL200``.  A non-``None``
+  store into a registered cache field counts as a memo fill, not an
+  effect, unless the same function writes the cache's backing state.
 
 Run it as ``repro lint <paths>`` or ``python -m repro.analysis <paths>``.
 """
 
 from __future__ import annotations
 
-from .concurrency import CheckThenActRule, ConcurrencyAnalysis
 from .effects import (
     DEFAULT_CACHE_REGISTRY,
     CacheCoherenceRule,
@@ -47,7 +44,6 @@ from .engine import (
     RuleContext,
     format_findings,
     format_findings_json,
-    lint_file,
     lint_paths,
     lint_project,
     lint_source,
@@ -58,8 +54,6 @@ from .symbols import ProjectIndex
 __all__ = [
     "CacheCoherenceRule",
     "CacheSpec",
-    "CheckThenActRule",
-    "ConcurrencyAnalysis",
     "DEFAULT_CACHE_REGISTRY",
     "DEFAULT_GRAPH_RULES",
     "DEFAULT_RULES",
@@ -74,7 +68,6 @@ __all__ = [
     "analyze_effects",
     "format_findings",
     "format_findings_json",
-    "lint_file",
     "lint_paths",
     "lint_project",
     "lint_source",

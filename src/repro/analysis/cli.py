@@ -98,8 +98,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description=(
             "reprolint: domain-aware static analysis for the reproduction "
             "(seeded randomness, engine-equivalence tolerance, "
-            "deterministic ordering, layering contract, cache coherence, "
-            "check-then-act cache fills)"
+            "deterministic ordering, layering contract, cache coherence)"
         ),
     )
     add_arguments(parser)

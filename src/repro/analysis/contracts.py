@@ -17,14 +17,12 @@ orchestration sit on top::
             │    │        │      semweb│
             └────┴────┬───┴────────┴───┘
                     core                         ── §3.1 model + pipeline
-                  obs util                       ── tracing / sync primitives
+                    obs                          ── tracing / metrics
                   (analysis: self-contained)
 
-``obs`` (tracing, metrics, the monotonic stopwatch) and ``util`` (the
-sanctioned concurrency primitives of :mod:`repro.util.sync`) sit *below*
-core: instrumentation and guarded-cache plumbing must be importable from
-every layer without creating an upward edge, and both depend on nothing
-but the standard library.
+``obs`` (tracing, metrics, the monotonic stopwatch) sits *below* core:
+instrumentation must be importable from every layer without creating an
+upward edge, and it depends on nothing but the standard library.
 
 A contract names, for each layer, the set of *internal* layers it may
 import at module scope.  Violations are RL100 findings anchored at the
@@ -72,7 +70,6 @@ ROOT_PACKAGE = "repro"
 _SUBSYSTEMS = frozenset(
     {
         "obs",
-        "util",
         "core",
         "trust",
         "perf",
@@ -103,22 +100,20 @@ class LayerContract:
         default_factory=lambda: {
             # Tracing/metrics/stopwatch: stdlib only, importable from all.
             "obs": frozenset(),
-            # Sanctioned sync primitives: stdlib only, importable from all.
-            "util": frozenset(),
             # The §3.1 information model and pipeline math; may emit
             # telemetry but depends on no other subsystem.
-            "core": frozenset({"obs", "util"}),
+            "core": frozenset({"obs"}),
             # Trust metrics operate on core's models and score contract
             # and run on perf's packed CSR kernels.
-            "trust": frozenset({"core", "perf", "obs", "util"}),
+            "trust": frozenset({"core", "perf", "obs"}),
             # The vectorized engines reproduce core's numeric conventions.
-            "perf": frozenset({"core", "obs", "util"}),
+            "perf": frozenset({"core", "obs"}),
             # RDF/FOAF documents serialize core models.
-            "semweb": frozenset({"core", "obs", "util"}),
+            "semweb": frozenset({"core", "obs"}),
             # The simulated Web ingests documents into core models.
-            "web": frozenset({"core", "semweb", "obs", "util"}),
+            "web": frozenset({"core", "semweb", "obs"}),
             # Synthetic stand-ins for the crawled §4 datasets.
-            "datasets": frozenset({"core", "obs", "util"}),
+            "datasets": frozenset({"core", "obs"}),
             # reprolint: self-contained, imports nothing internal.
             "analysis": frozenset(),
             # Experiments drive every subsystem.

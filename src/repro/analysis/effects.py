@@ -1,13 +1,13 @@
 """Interprocedural effect inference and the cache-coherence rule (RL200).
 
 The paper's architecture assumes long-lived machine agents that keep
-ingesting trust statements and ratings *while* serving recommendations
-(§2, §4.1).  Our runtime caches — :class:`ProfileStore`'s profile dict
-and packed matrix, the taxonomy builder's path/descriptor memos, the
+ingesting trust statements and ratings between the recommendations they
+compute (§2, §4.1).  Our runtime caches — :class:`ProfileStore`'s profile
+dict and packed matrix, the taxonomy builder's path/descriptor memos, the
 rating predictor's weight cache, :class:`TrustGraph`'s positive-successor
 index — are invalidated by convention only, which makes "incremental
 everything" a stale-read minefield: one missed ``invalidate()`` in a
-daemon silently serves yesterday's scores forever.
+long-lived agent silently serves yesterday's scores forever.
 
 This module computes, per function, a conservative **effect set** over
 two kinds of atom:
@@ -37,16 +37,16 @@ backing state they derive from; any function that mutates backing state
 while a registered cache owner is in scope (``self``, a typed attribute,
 a typed parameter) must also reach the paired invalidation, and anything
 *named* like an invalidator must clear every registered field of every
-visible owner (no partial invalidation).  The lock-set pass of
-:mod:`repro.analysis.concurrency` reuses the same scan.
+visible owner (no partial invalidation).
 
-The sanctioned primitives of :mod:`repro.util.sync` get special
-classification: ``cache.store``/``invalidate``/``swap``/``clear`` on a
-typed :class:`GuardedCache`/:class:`AtomicSwap` attribute count as
-mutations of *that field* (so the registry pairings keep their
-``ProfileStore._cache``-style atom names instead of leaking
-``GuardedCache._data`` internals), and the builder passed to
-``get_or_build`` becomes a call edge so its effects propagate.
+The registry also decides what a **memo fill** is.  In a function that
+writes no registered backing field, an assignment of a non-``None``
+value into a registered cache field (``self._cache[k] = build(k)``,
+``self._matrix = matrix``) fills a memo: no caller can observe it, so it
+is not an effect, and a query that memoizes stays pure.  Drops stay
+effects (``= None``, ``.pop``, ``.clear``, ``del``), and so do stores
+made inside a backing mutator, such as ``Dataset.add_rating`` keeping
+its index up to date.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ __all__ = [
     "CacheSpec",
     "DEFAULT_CACHE_REGISTRY",
     "EffectAnalysis",
-    "SYNC_MODULE",
-    "SYNC_MUTATOR_METHODS",
-    "SYNC_PRIMITIVE_CLASSES",
     "analyze_effects",
-    "is_sync_primitive",
 ]
 
 MUTATES_GLOBAL = "mutates:global"
@@ -102,25 +98,8 @@ _MUTATOR_METHODS = frozenset(
 #: ``ProfileStore.profile`` are never mistaken for incomplete clears).
 _INVALIDATOR_RE = re.compile(r"invalidate|_reset_cache|drop_cache", re.IGNORECASE)
 
-#: The sanctioned concurrency primitives (sanitizers for RL301).
-SYNC_MODULE = "repro.util.sync"
-SYNC_PRIMITIVE_CLASSES = frozenset({"GuardedCache", "AtomicSwap", "ReentrantGuard"})
-#: Primitive methods that (re)write the owning field's contents in a
-#: caller-visible way.  ``get_or_build`` is deliberately absent: a
-#: memoized fill through the sanctioned primitive is semantically a
-#: guarded *read* (idempotent, invisible to any caller), so memoizing a
-#: reader must not turn it into a writer in the effect lattice.
-SYNC_MUTATOR_METHODS = frozenset({"store", "invalidate", "swap", "clear"})
-
-
-def is_sync_primitive(class_qualname: str) -> bool:
-    """Whether *class_qualname* names one of the ``repro.util.sync`` primitives."""
-    module_part, _, short = class_qualname.rpartition(".")
-    return module_part == SYNC_MODULE and short in SYNC_PRIMITIVE_CLASSES
-
-
 # ---------------------------------------------------------------------------
-# The declarative cache registry (RL200/RL301).
+# The declarative cache registry (RL200 and the memo-fill rule).
 # ---------------------------------------------------------------------------
 
 
@@ -131,7 +110,8 @@ class CacheSpec:
     ``backing`` lists fully-qualified *fields* whose mutation invalidates
     the caches; ``caches`` maps each owner class to its cache fields.  A
     spec with empty ``backing`` declares caches over immutable state
-    (coherent by construction) purely so RL301 covers their lazy fills.
+    (coherent by construction) purely so their lazy fills count as memo
+    fills, not effects.
     """
 
     name: str
@@ -171,8 +151,8 @@ _BUILDER = "repro.core.profiles.TaxonomyProfileBuilder"
 _DIVERSIFIER = "repro.core.diversify.TopicDiversifier"
 _PROFILE_MATRIX = "repro.perf.matrix.ProfileMatrix"
 
-#: The repository's cache-coherence pairings.  Every cache field named
-#: here is also a field RL301 checks for unguarded check-then-act fills.
+#: The repository's cache-coherence pairings.  A non-``None`` store into
+#: any cache field named here is a memo fill (see the module docstring).
 DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
     CacheSpec(
         name="profile-caches",
@@ -252,6 +232,14 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
 )
 
 
+_CACHE_ATOMS: frozenset[str] = frozenset().union(
+    *(spec.all_cache_atoms for spec in DEFAULT_CACHE_REGISTRY)
+)
+_BACKING_ATOMS: frozenset[str] = frozenset().union(
+    *(spec.backing_atoms for spec in DEFAULT_CACHE_REGISTRY)
+)
+
+
 # ---------------------------------------------------------------------------
 # Effect inference.
 # ---------------------------------------------------------------------------
@@ -273,8 +261,8 @@ class _ScanContext:
 class EffectAnalysis:
     """Direct effects + call edges for one project, with a cached fixpoint.
 
-    Shared by RL200 and the lock-set pass through :func:`analyze_effects`,
-    so one lint invocation pays for one inference pass.
+    Built once per project through :func:`analyze_effects`, so RL200 and
+    the tests that query the table share one inference pass.
     """
 
     def __init__(self, project: ProjectIndex) -> None:
@@ -397,12 +385,10 @@ class EffectAnalysis:
         """Resolve an annotation to a class qualname, unwrapping unions.
 
         ``ProfileStore | None``, ``Optional[TrustGraph]``, string
-        annotations, and subscripted generics all resolve —
-        ``GuardedCache[str, Profile]`` types the attribute as
-        ``repro.util.sync.GuardedCache`` so the sync-primitive
-        classification below sees through parameterized fields.  A base
-        that is not a project class (``dict[str, float]``) resolves to a
-        name no downstream table knows, which is equivalent to ``None``.
+        annotations, and subscripted generics all resolve to their base
+        class.  A base that is not a project class (``dict[str, float]``)
+        resolves to a name no downstream table knows, which is equivalent
+        to ``None``.
         """
         node: ast.expr | None = annotation
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -435,11 +421,7 @@ class EffectAnalysis:
     # -- per-function scan ---------------------------------------------------
 
     def _context(self, func: FunctionInfo) -> _ScanContext:
-        """The per-function scan environment.
-
-        Shared with :mod:`repro.analysis.concurrency`, whose block-level
-        walk re-classifies the same accesses with lock-set context.
-        """
+        """The per-function scan environment."""
         module = self.project.modules[func.module]
         class_name = func.name.rpartition(".")[0] or None
         ctx = _ScanContext(
@@ -460,11 +442,15 @@ class EffectAnalysis:
     def _scan(self, func: FunctionInfo) -> None:
         ctx = self._context(func)
         direct: set[str] = set()
+        stores: set[str] = set()  #: non-None assignments, memo-fill candidates
         callees: dict[str, set[str]] = {}
         for node in ast.walk(func.node):
             if isinstance(node, ast.Assign):
+                is_none = (
+                    isinstance(node.value, ast.Constant) and node.value.value is None
+                )
                 for target in node.targets:
-                    self._write_target(target, ctx, direct)
+                    self._write_target(target, ctx, direct if is_none else stores)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 if not (isinstance(node, ast.AnnAssign) and node.value is None):
                     self._write_target(node.target, ctx, direct)
@@ -473,6 +459,12 @@ class EffectAnalysis:
                     self._write_target(target, ctx, direct)
             elif isinstance(node, ast.Call):
                 self._classify_call(node, ctx, direct, callees)
+        # Memo fills are reads unless the function also writes backing
+        # state: then they are a mutator maintaining its own index.
+        fills = stores & _CACHE_ATOMS
+        direct |= stores - fills
+        if direct & _BACKING_ATOMS:
+            direct |= fills
         self.direct[func.qualname] = direct
         self.callees[func.qualname] = set(callees)
         self.edge_masks[func.qualname] = {
@@ -642,16 +634,6 @@ class EffectAnalysis:
             if ref is not None:
                 self._add_edge(callees, ref)
 
-        # Calls on a repro.util.sync primitive: classify against the
-        # *owning field* and never descend into the primitive's body, so
-        # registry atoms keep their domain names (ProfileStore._cache,
-        # not GuardedCache._data).
-        if isinstance(call.func, ast.Attribute):
-            receiver_cls = self._receiver_class(call.func.value, ctx)
-            if receiver_cls is not None and is_sync_primitive(receiver_cls):
-                self._classify_sync_call(call, ctx, direct, callees)
-                return
-
         if resolved is not None:
             if self.project.function(resolved) is not None:
                 mask: frozenset[str] = frozenset()
@@ -671,33 +653,6 @@ class EffectAnalysis:
                 # initialization, not mutation of caller-visible state.
                 return
         self._classify_mutator_call(call, ctx, direct)
-
-    def _classify_sync_call(
-        self,
-        call: ast.Call,
-        ctx: _ScanContext,
-        direct: set[str],
-        callees: dict[str, set[str]],
-    ) -> None:
-        """A method call on a ``repro.util.sync`` primitive.
-
-        Overwriting or clearing the primitive mutates the *field that
-        holds it* (when that field is caller-visible state); the builder
-        callable handed to ``get_or_build`` is a real call edge, but the
-        memoized fill itself is a guarded read, not a mutation.  Plain
-        reads (``get``/``peek``/``snapshot``/``held``) are effect-free.
-        """
-        assert isinstance(call.func, ast.Attribute)
-        method = call.func.attr
-        receiver = call.func.value
-        if method in SYNC_MUTATOR_METHODS and isinstance(receiver, ast.Attribute):
-            cls = self._stateful_receiver(receiver.value, ctx)
-            if cls is not None:
-                direct.add(f"mutates:{cls}.{receiver.attr}")
-        if method == "get_or_build" and call.args:
-            ref = self._function_ref(call.args[-1], ctx)
-            if ref is not None:
-                self._add_edge(callees, ref)
 
     def _classify_mutator_call(
         self, call: ast.Call, ctx: _ScanContext, direct: set[str]
@@ -814,8 +769,7 @@ def _locally_bound_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[st
     return bound - declared_global
 
 
-#: One analysis per ProjectIndex: RL200 and the lock-set pass share a
-#: single inference pass within a lint invocation.
+#: One analysis per ProjectIndex, however often it is asked for.
 _ANALYSES: "weakref.WeakKeyDictionary[ProjectIndex, EffectAnalysis]" = (
     weakref.WeakKeyDictionary()
 )

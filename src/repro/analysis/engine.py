@@ -6,7 +6,8 @@ a parsed module plus a :class:`RuleContext` and yields :class:`Finding`
 objects.  The engine owns everything rule-independent:
 
 * discovering ``*.py`` files under the given paths,
-* parsing once per file and handing every rule the same tree,
+* reading, tokenizing and parsing each file once, and handing every
+  rule — file and graph alike — the same tree,
 * honouring ``# reprolint: disable=RL001[,RL002]`` / ``disable-all``
   suppression comments on the offending line,
 * rendering findings as human-readable text or a JSON document.
@@ -41,7 +42,6 @@ __all__ = [
     "RuleContext",
     "format_findings",
     "format_findings_json",
-    "lint_file",
     "lint_paths",
     "lint_project",
     "lint_source",
@@ -78,14 +78,6 @@ class RuleContext:
     """Everything a rule may consult besides the AST itself."""
 
     path: str
-    source: str
-    lines: tuple[str, ...]
-
-    def line_text(self, lineno: int) -> str:
-        """1-based source line, or ``""`` past EOF (synthesized nodes)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 class Rule:
@@ -118,8 +110,8 @@ class GraphRule:
 
     Unlike :class:`Rule`, a graph rule runs once per lint invocation over
     the :class:`~repro.analysis.symbols.ProjectIndex` of every linted
-    file, so it can see cross-module facts: layering violations, stale
-    caches, check-then-act fills.  Findings still anchor to one
+    file, so it can see cross-module facts: layering violations and
+    stale caches.  Findings still anchor to one
     ``(path, line)`` and honour the same ``# reprolint: disable=RLxxx``
     suppressions.
     """
@@ -213,10 +205,15 @@ class LintEngine:
     def lint_source(self, source: str, path: str = "<string>") -> list[Finding]:
         """Lint one module's source text; honours suppression comments."""
         tree = ast.parse(source, filename=path)
-        context = RuleContext(
-            path=path, source=source, lines=tuple(source.splitlines())
-        )
-        suppressions = _suppressed_codes(source)
+        return self._lint_tree(tree, path, _suppressed_codes(source))
+
+    def _lint_tree(
+        self,
+        tree: ast.Module,
+        path: str,
+        suppressions: dict[int, frozenset[str] | None],
+    ) -> list[Finding]:
+        context = RuleContext(path=path)
         findings = [
             finding
             for rule in self.rules
@@ -260,17 +257,20 @@ class LintEngine:
         findings in a single report.  Graph findings honour the same
         per-line suppression comments as file findings.
         """
-        files = self.discover(paths)
         findings: list[Finding] = []
+        trees: list[tuple[Path, ast.Module]] = []
         suppressions_by_path: dict[str, dict[int, frozenset[str] | None]] = {}
-        for file_path in files:
+        for file_path in self.discover(paths):
+            path = str(file_path)
             source = file_path.read_text(encoding="utf-8")
-            findings.extend(self.lint_source(source, str(file_path)))
-            suppressions_by_path[str(file_path)] = _suppressed_codes(source)
+            tree = ast.parse(source, filename=path)
+            suppressions = suppressions_by_path[path] = _suppressed_codes(source)
+            findings.extend(self._lint_tree(tree, path, suppressions))
+            trees.append((file_path, tree))
         if self.graph_rules:
             from .symbols import ProjectIndex
 
-            project = ProjectIndex.build(files)
+            project = ProjectIndex.from_trees(trees)
             for rule in self.graph_rules:
                 for finding in rule.check_project(project):
                     suppressions = suppressions_by_path.get(finding.path, {})
@@ -291,13 +291,6 @@ def lint_source(
 ) -> list[Finding]:
     """Lint source text with the default rule set."""
     return _default_engine(select).lint_source(source, path)
-
-
-def lint_file(
-    path: str | Path, select: Iterable[str] | None = None
-) -> list[Finding]:
-    """Lint one file with the default rule set."""
-    return _default_engine(select).lint_file(path)
 
 
 def lint_paths(

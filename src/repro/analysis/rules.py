@@ -1,6 +1,6 @@
 """The reprolint rule catalogue.
 
-Six rules survive because each either caught a defect that was then
+Five rules survive because each either caught a defect that was then
 fixed or is the only check of a standing invariant (``docs/ANALYSIS.md``
 gives the record).  Three are per-file rules, defined here:
 
@@ -20,16 +20,14 @@ gives the record).  Three are per-file rules, defined here:
            serialized output makes EX tables nondeterministic
 ========  ==============================================================
 
-Three are whole-program rules, defined next door and registered here
-as :data:`DEFAULT_GRAPH_RULES`:
+Two are whole-program rules, defined next door and registered here as
+:data:`DEFAULT_GRAPH_RULES`:
 
 ========  ==============================================================
 ``RL100``  import violates the package layering contract
            (:mod:`repro.analysis.contracts`)
 ``RL200``  backing-state mutation leaves a registered cache stale
            (:mod:`repro.analysis.effects`)
-``RL301``  unguarded check-then-act fill on a registered cache field
-           (:mod:`repro.analysis.concurrency`)
 ========  ==============================================================
 
 Suppress a deliberate exception with ``# reprolint: disable=RLxxx`` on
@@ -42,7 +40,6 @@ import ast
 import re
 from collections.abc import Iterator
 
-from .concurrency import CheckThenActRule
 from .contracts import ArchitectureContractRule
 from .effects import CacheCoherenceRule
 from .engine import Finding, GraphRule, Rule, RuleContext
@@ -264,7 +261,6 @@ DEFAULT_RULES: tuple[Rule, ...] = (
 DEFAULT_GRAPH_RULES: tuple[GraphRule, ...] = (
     ArchitectureContractRule(),
     CacheCoherenceRule(),
-    CheckThenActRule(),
 )
 
 

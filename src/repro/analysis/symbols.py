@@ -14,7 +14,7 @@ shared substrate those whole-program checks need:
 * per-module **name bindings** (imported name → fully qualified target)
   so call sites can be resolved across module boundaries;
 * every **function** with its qualified name and AST, the raw material
-  of the effect and lock-set passes;
+  of the effect pass;
 * the names bound at **module level**, so a write through one reads as
   a ``mutates:global`` effect.
 
@@ -267,18 +267,21 @@ class ProjectIndex:
 
     @classmethod
     def build(cls, files: Iterable[str | Path]) -> "ProjectIndex":
-        """Parse and index every file; unparseable files are skipped.
-
-        (The per-file rules surface the :class:`SyntaxError`; the graph
-        pass works with whatever else is indexable.)
-        """
-        modules: dict[str, ModuleInfo] = {}
-        for file_path in sorted(Path(f) for f in files):
+        """Read, parse and index every file; unparseable files are skipped."""
+        trees: list[tuple[Path, ast.Module]] = []
+        for file_path in (Path(f) for f in files):
             try:
                 source = file_path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(file_path))
+                trees.append((file_path, ast.parse(source, filename=str(file_path))))
             except (OSError, SyntaxError, ValueError):
                 continue
+        return cls.from_trees(trees)
+
+    @classmethod
+    def from_trees(cls, trees: Iterable[tuple[Path, ast.Module]]) -> "ProjectIndex":
+        """Index modules the caller already parsed, in path order."""
+        modules: dict[str, ModuleInfo] = {}
+        for file_path, tree in sorted(trees, key=lambda item: item[0]):
             name = module_name_for_path(file_path)
             info = ModuleInfo(name=name, path=str(file_path), tree=tree)
             _ModuleScanner(info).visit(tree)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..util.sync import GuardedCache
 from .models import Product
 from .profiles import Profile, descriptor_score_path
 from .recommender import Recommendation
@@ -79,10 +78,8 @@ class TopicDiversifier:
     taxonomy: Taxonomy
     products: dict[str, Product]
     theta: float = 0.5
-    _profile_cache: GuardedCache[str, Profile] = field(
-        default_factory=lambda: GuardedCache("product-topic-profiles"),
-        repr=False,
-        compare=False,
+    _profile_cache: dict[str, Profile] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -91,13 +88,14 @@ class TopicDiversifier:
 
     def profile(self, identifier: str) -> Profile:
         """Cached topic profile of one product (empty if unknown)."""
-        return self._profile_cache.get_or_build(identifier, self._build_profile)
-
-    def _build_profile(self, identifier: str) -> Profile:
-        product = self.products.get(identifier)
-        if product is None:
-            return {}
-        return product_topic_profile(self.taxonomy, product)
+        profile = self._profile_cache.get(identifier)
+        if profile is None:
+            product = self.products.get(identifier)
+            profile = (
+                {} if product is None else product_topic_profile(self.taxonomy, product)
+            )
+            self._profile_cache[identifier] = profile
+        return profile
 
     def invalidate(self) -> None:
         """Drop cached product topic profiles.
@@ -105,7 +103,7 @@ class TopicDiversifier:
         Required after in-place taxonomy edits (RL200's taxonomy-caches
         pairing); rating churn alone never stales this cache.
         """
-        self._profile_cache.invalidate()
+        self._profile_cache.clear()
 
     def rerank(
         self, candidates: list[Recommendation], limit: int = 10

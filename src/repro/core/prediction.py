@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from ..util.sync import GuardedCache
 from .models import Dataset
 
 __all__ = ["RatingPredictor", "predict_rating"]
@@ -85,15 +84,14 @@ class RatingPredictor:
     mean_centered: bool = True
 
     def __post_init__(self) -> None:
-        self._weight_cache: GuardedCache[str, Mapping[str, float]] = GuardedCache(
-            "peer-weights"
-        )
+        self._weight_cache: dict[str, Mapping[str, float]] = {}
 
     def _weights(self, agent: str) -> Mapping[str, float]:
-        return self._weight_cache.get_or_build(agent, self._build_weights)
-
-    def _build_weights(self, agent: str) -> Mapping[str, float]:
-        return self.weight_provider(agent)  # type: ignore[operator]
+        weights = self._weight_cache.get(agent)
+        if weights is None:
+            weights = self.weight_provider(agent)  # type: ignore[operator]
+            self._weight_cache[agent] = weights
+        return weights
 
     def predict(self, agent: str, product: str) -> float | None:
         """Predict one rating; ``None`` when no evidence exists."""

@@ -27,7 +27,6 @@ from collections.abc import Iterable, Mapping
 from typing import Literal as TypingLiteral
 from typing import Optional
 
-from ..util.sync import GuardedCache, ReentrantGuard
 from .models import Product
 from .taxonomy import Taxonomy
 
@@ -110,19 +109,12 @@ class TaxonomyProfileBuilder:
         self.product_weighting = product_weighting
         self.negative_mode = negative_mode
         # Per-topic path distributions are rating-independent, so memoize.
-        # Both memo tables share one re-entrant guard so a taxonomy edit's
-        # invalidation clears them as a unit under concurrent builds.
-        self._cache_guard = ReentrantGuard("taxonomy-profile-builder")
-        self._path_cache: GuardedCache[str, dict[str, float]] = GuardedCache(
-            "path-scores", guard=self._cache_guard
-        )
+        self._path_cache: dict[str, dict[str, float]] = {}
         # Descriptor filtering is product-and-taxonomy-dependent only, yet
         # it used to be re-sorted for every rating of every agent; memoize
         # per product identifier (descriptor sets are frozen on Product and
         # identifiers are globally unique, the paper's ISBN assumption).
-        self._descriptor_cache: GuardedCache[str, list[str]] = GuardedCache(
-            "known-descriptors", guard=self._cache_guard
-        )
+        self._descriptor_cache: dict[str, list[str]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -131,13 +123,12 @@ class TaxonomyProfileBuilder:
 
         Both caches are keyed on taxonomy structure (and frozen product
         descriptors), so they survive any amount of rating churn — but a
-        process that edits its taxonomy in place (the streaming-update
-        path the ROADMAP plans) must call this or serve profiles built
-        against the old topic tree (RL200's taxonomy-caches pairing).
+        process that edits its taxonomy in place must call this or serve
+        profiles built against the old topic tree (RL200's
+        taxonomy-caches pairing).
         """
-        with self._cache_guard:
-            self._path_cache.invalidate()
-            self._descriptor_cache.invalidate()
+        self._path_cache.clear()
+        self._descriptor_cache.clear()
 
     def build(
         self,
@@ -196,16 +187,18 @@ class TaxonomyProfileBuilder:
         return contributions
 
     def _known_descriptors(self, product: Product) -> list[str]:
-        return self._descriptor_cache.get_or_build(
-            product.identifier,
-            lambda _key: sorted(t for t in product.descriptors if t in self.taxonomy),
-        )
+        known = self._descriptor_cache.get(product.identifier)
+        if known is None:
+            known = sorted(t for t in product.descriptors if t in self.taxonomy)
+            self._descriptor_cache[product.identifier] = known
+        return known
 
     def _path_scores(self, topic: str) -> dict[str, float]:
-        return self._path_cache.get_or_build(topic, self._build_path_scores)
-
-    def _build_path_scores(self, topic: str) -> dict[str, float]:
-        return descriptor_score_path(self.taxonomy, topic, 1.0)
+        scores = self._path_cache.get(topic)
+        if scores is None:
+            scores = descriptor_score_path(self.taxonomy, topic, 1.0)
+            self._path_cache[topic] = scores
+        return scores
 
 
 def flat_category_profile(

@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 from ..obs import get_metrics
 from ..trust.graph import TrustGraph
-from ..util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 from .models import Dataset
 from .neighborhood import NeighborhoodFormation, TrustNeighborhood
 from .profiles import Profile, TaxonomyProfileBuilder, product_profile
@@ -78,64 +77,57 @@ class ProfileStore:
     thousands of agent pairs and profile construction dominates without it.
     Call :meth:`invalidate` after mutating an agent's ratings.
 
-    Both caches ride one :class:`ReentrantGuard` so the daemon's
-    concurrent readers never observe a half-invalidated store: the
-    profile dict is a :class:`GuardedCache` (atomic get-or-build) and
-    the packed matrix an :class:`AtomicSwap` (publish-by-replacement).
-    Re-entrancy matters because building the matrix builds profiles
-    through the same guard.  Single-threaded behavior is unchanged.
+    Both caches are plain attributes: the store serves one writer at a
+    time (DESIGN.md's concurrency contract), so a fill is an ordinary
+    memo and :meth:`invalidate` drops the profile and the packed matrix
+    together in one call.
     """
 
     def __init__(self, dataset: Dataset, builder: TaxonomyProfileBuilder) -> None:
         self.dataset = dataset
         self.builder = builder
-        self._guard = ReentrantGuard("profile-store")
-        self._cache: GuardedCache[str, Profile] = GuardedCache(
-            "profiles", guard=self._guard
-        )
-        self._matrix: "AtomicSwap[ProfileMatrix]" = AtomicSwap(
-            "profile-matrix", guard=self._guard
-        )
+        self._cache: dict[str, Profile] = {}
+        self._matrix: "ProfileMatrix | None" = None
 
     def profile(self, agent: str) -> Profile:
         """The taxonomy profile of *agent* (cached)."""
-        return self._cache.get_or_build(agent, self._build_profile)
-
-    def _build_profile(self, agent: str) -> Profile:
-        ratings = self.dataset.ratings_of(agent)
-        return self.builder.build(ratings, self.dataset.products)
+        profile = self._cache.get(agent)
+        if profile is None:
+            ratings = self.dataset.ratings_of(agent)
+            profile = self.builder.build(ratings, self.dataset.products)
+            self._cache[agent] = profile
+        return profile
 
     def matrix(self) -> "ProfileMatrix":
         """The whole community's profiles packed for the numpy engine.
 
         Built lazily on first use (the one call that pays the full
-        O(community) profile construction) and published atomically;
-        dropped by :meth:`invalidate`.
+        O(community) profile construction) and dropped by
+        :meth:`invalidate`.
         """
-        cached = self._matrix.get()
-        if cached is not None:
+        matrix = self._matrix
+        if matrix is not None:
             get_metrics().counter("similarity.matrix_cache.hit").inc()
-            return cached
-        return self._matrix.get_or_build(self._build_matrix)
-
-    def _build_matrix(self) -> "ProfileMatrix":
+            return matrix
         from ..perf.matrix import ProfileMatrix
 
         get_metrics().counter("similarity.matrix_cache.miss").inc()
         profiles = {agent: self.profile(agent) for agent in self.dataset.agents}
-        return ProfileMatrix.from_profiles(profiles)
+        matrix = ProfileMatrix.from_profiles(profiles)
+        self._matrix = matrix
+        return matrix
 
     def invalidate(self, agent: str | None = None) -> None:
         """Drop cached profiles (one agent, or all when *agent* is None).
 
         The packed matrix is dropped either way: its rows embed every
-        agent's profile, so any single stale row poisons it.  Both drops
-        happen under the shared guard, so a concurrent reader sees the
-        store before or after the invalidation, never between.
+        agent's profile, so any single stale row poisons it.
         """
-        with self._guard:
-            self._matrix.clear()
-            self._cache.invalidate(agent)
+        self._matrix = None
+        if agent is None:
+            self._cache.clear()
+        else:
+            self._cache.pop(agent, None)
 
 
 def _similarity_function(
@@ -347,17 +339,11 @@ class PureCFRecommender(Recommender):
     similarity_measure: str | None = None
     neighbors: int = 20
     engine: str = "auto"
-    _product_profiles: GuardedCache[str, Profile] = field(
-        default_factory=lambda: GuardedCache("product-profiles"),
-        init=False,
-        repr=False,
-        compare=False,
+    _product_profiles: dict[str, Profile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
-    _product_matrix: "AtomicSwap[ProfileMatrix]" = field(
-        default_factory=lambda: AtomicSwap("product-matrix"),
-        init=False,
-        repr=False,
-        compare=False,
+    _product_matrix: "ProfileMatrix | None" = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -379,23 +365,25 @@ class PureCFRecommender(Recommender):
         if self.representation == "taxonomy":
             assert self.profiles is not None
             return self.profiles.profile(agent)
-        return self._product_profiles.get_or_build(agent, self._build_product_profile)
-
-    def _build_product_profile(self, agent: str) -> Profile:
-        return product_profile(self.dataset.ratings_of(agent))
+        profile = self._product_profiles.get(agent)
+        if profile is None:
+            profile = product_profile(self.dataset.ratings_of(agent))
+            self._product_profiles[agent] = profile
+        return profile
 
     def _matrix(self) -> "ProfileMatrix":
         """The packed community matrix for the active representation."""
         if self.representation == "taxonomy":
             assert self.profiles is not None
             return self.profiles.matrix()
-        return self._product_matrix.get_or_build(self._build_product_matrix)
+        matrix = self._product_matrix
+        if matrix is None:
+            from ..perf.matrix import ProfileMatrix
 
-    def _build_product_matrix(self) -> "ProfileMatrix":
-        from ..perf.matrix import ProfileMatrix
-
-        profiles = {agent: self._profile(agent) for agent in self.dataset.agents}
-        return ProfileMatrix.from_profiles(profiles)
+            profiles = {agent: self._profile(agent) for agent in self.dataset.agents}
+            matrix = ProfileMatrix.from_profiles(profiles)
+            self._product_matrix = matrix
+        return matrix
 
     def invalidate_cache(self) -> None:
         """Drop every cached view of the dataset's ratings.
@@ -405,8 +393,8 @@ class PureCFRecommender(Recommender):
         so it is invalidated too — dropping only the product-mode caches
         left taxonomy-mode queries serving stale scores (RL200).
         """
-        self._product_profiles.invalidate()
-        self._product_matrix.clear()
+        self._product_profiles.clear()
+        self._product_matrix = None
         if self.profiles is not None:
             self.profiles.invalidate()
 

@@ -1,7 +1,7 @@
 """Process-wide tracer and metrics bindings.
 
 Instrumented code asks :func:`get_tracer` / :func:`get_metrics` for the
-current sinks instead of threading them through every signature — the
+current sinks instead of passing them through every signature — the
 hot paths (similarity kernels, fetch loops, Appleseed sweeps) sit many
 layers below the CLI that decides whether a run is observed.
 

@@ -21,11 +21,13 @@ domains of :mod:`repro.core.similarity` but contributes nothing to dot
 products.  Keeping presence separate is what lets the vectorized kernels
 reproduce the dict-based oracle exactly.
 
-Dense storage is deliberate: at the community sizes the experiments run
+Dense storage is deliberate at the community sizes the experiments run
 (hundreds to low thousands of agents, taxonomy vocabularies of a few
-thousand topics) a dense float64 block is a few dozen MB at worst and
-BLAS-backed matmuls beat scipy-free CSR emulation.  The support mask
-plays the CSR indptr/indices role for domain bookkeeping.
+thousand topics): BLAS-backed matmuls beat scipy-free CSR emulation, and
+the support mask plays the CSR indptr/indices role for domain
+bookkeeping.  The cost grows faster than the community, though: a
+dense-plus-mask pack measured 52 MB at 910 agents and 253 MB at 2,275,
+and would need about 2.6 GB at the paper's 9,100 (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from ..util.sync import AtomicSwap
 
 __all__ = ["ProfileMatrix", "TopicVocabulary"]
 
@@ -107,10 +107,10 @@ class ProfileMatrix:
         self.row_sum = dense.sum(axis=1)
         self.row_sumsq = (dense * dense).sum(axis=1)
         self.row_norm = np.sqrt(self.row_sumsq)
-        # Lazy derived views, published atomically so daemon threads
-        # racing on first use each see either nothing or the final array.
-        self._dense_sq: AtomicSwap[np.ndarray] = AtomicSwap("dense-sq")
-        self._topic_rows: AtomicSwap[list[np.ndarray]] = AtomicSwap("topic-rows")
+        # Lazy derived views, built on first use; the matrix never
+        # changes after construction, so they never go stale.
+        self._dense_sq: np.ndarray | None = None
+        self._topic_rows: list[np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -167,18 +167,18 @@ class ProfileMatrix:
         Needed by intersection-domain kernels, whose norms/variances run
         over co-rated coordinates only.
         """
-        return self._dense_sq.get_or_build(self._square)
-
-    def _square(self) -> np.ndarray:
-        return self.dense * self.dense
+        if self._dense_sq is None:
+            self._dense_sq = self.dense * self.dense
+        return self._dense_sq
 
     # -- inverted index -------------------------------------------------------
 
     def _inverted_index(self) -> list[np.ndarray]:
-        return self._topic_rows.get_or_build(self._build_inverted_index)
-
-    def _build_inverted_index(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.mask[:, col]) for col in range(self.width)]
+        if self._topic_rows is None:
+            self._topic_rows = [
+                np.flatnonzero(self.mask[:, col]) for col in range(self.width)
+            ]
+        return self._topic_rows
 
     def overlapping_rows(self, profile: Mapping[str, float]) -> np.ndarray:
         """Rows whose support shares at least one key with *profile*.

@@ -20,7 +20,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Optional
 
 from ..core.models import validate_score
-from ..util.sync import AtomicSwap, GuardedCache, ReentrantGuard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.models import Dataset
@@ -36,10 +35,14 @@ class TrustGraph:
     published trust statement supersedes the old one).  Nodes exist as
     soon as they appear on either end of an edge or are added explicitly,
     so agents that state no trust and receive none can still be queried.
+
+    One writer at a time, and no reader while it writes (DESIGN.md's
+    concurrency contract): :meth:`edges` and :meth:`within_horizon`
+    iterate the live adjacency dicts, and the memoized views below are
+    plain attributes that each mutator drops.
     """
 
     def __init__(self) -> None:
-        self._guard = ReentrantGuard("trust-graph")
         self._succ: dict[str, dict[str, float]] = {}
         self._pred: dict[str, dict[str, float]] = {}
         # Positive-only successor views, built on demand and memoized.
@@ -47,18 +50,13 @@ class TrustGraph:
         # their innermost loops (once per node per Appleseed quota, once
         # per node per BFS level), and filtering the full adjacency dict
         # there allocated a fresh dict per call — the single hottest
-        # allocation in the python engine.  The GuardedCache makes the
-        # memoized fill atomic for the query daemon's concurrent readers;
-        # edge mutations invalidate the touched node under the same guard.
-        self._pos_succ: GuardedCache[str, dict[str, float]] = GuardedCache(
-            "positive-successors", guard=self._guard
-        )
+        # allocation in the python engine.  Edge mutations drop the
+        # touched node's view.
+        self._pos_succ: dict[str, dict[str, float]] = {}
         # The packed CSR of the whole graph (see :meth:`packed`), kept
         # until the next mutation: queries on an unchanged graph share
         # one pack instead of repacking per call.
-        self._packed: AtomicSwap[TrustMatrix] = AtomicSwap(
-            "packed-trust-matrix", guard=self._guard
-        )
+        self._packed: TrustMatrix | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -66,16 +64,15 @@ class TrustGraph:
         """Ensure *node* exists (idempotent)."""
         if not node:
             raise ValueError("node identifier must be non-empty")
-        with self._guard:
-            if node not in self._succ:
-                self._insert_node(node)
+        if node not in self._succ:
+            self._insert_node(node)
 
     def _insert_node(self, node: str) -> None:
-        """Add a node the graph lacks; the caller holds the guard."""
+        """Add a node the graph lacks."""
         self._succ[node] = {}
         self._pred[node] = {}
-        self._pos_succ.invalidate(node)
-        self._drop_packed()
+        self._pos_succ.pop(node, None)
+        self._packed = None
 
     def add_edge(self, source: str, target: str, weight: float) -> None:
         """State ``t_source(target) = weight``; overwrites a prior statement."""
@@ -84,28 +81,21 @@ class TrustGraph:
         if not source or not target:
             raise ValueError("node identifier must be non-empty")
         weight = validate_score(weight, "trust weight")
-        with self._guard:
-            if source not in self._succ:
-                self._insert_node(source)
-            if target not in self._succ:
-                self._insert_node(target)
-            self._succ[source][target] = weight
-            self._pred[target][source] = weight
-            self._pos_succ.invalidate(source)
-            self._drop_packed()
+        if source not in self._succ:
+            self._insert_node(source)
+        if target not in self._succ:
+            self._insert_node(target)
+        self._succ[source][target] = weight
+        self._pred[target][source] = weight
+        self._pos_succ.pop(source, None)
+        self._packed = None
 
     def remove_edge(self, source: str, target: str) -> None:
         """Retract a trust statement; missing edges raise :class:`KeyError`."""
-        with self._guard:
-            del self._succ[source][target]
-            del self._pred[target][source]
-            self._pos_succ.invalidate(source)
-            self._drop_packed()
-
-    def _drop_packed(self) -> None:
-        # Bulk builds never pack, so skip the swap while the slot is empty.
-        if self._packed.get() is not None:
-            self._packed.clear()
+        del self._succ[source][target]
+        del self._pred[target][source]
+        self._pos_succ.pop(source, None)
+        self._packed = None
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset") -> "TrustGraph":
@@ -165,23 +155,28 @@ class TrustGraph:
         mutations invalidate it) — callers must copy before modifying (as
         :class:`Appleseed` does when adding its virtual backward edge).
         """
-        return self._pos_succ.get_or_build(node, self._positive_view)
-
-    def _positive_view(self, node: str) -> dict[str, float]:
-        return {
-            target: weight
-            for target, weight in self._succ.get(node, {}).items()
-            if weight > 0.0
-        }
+        view = self._pos_succ.get(node)
+        if view is None:
+            view = {
+                target: weight
+                for target, weight in self._succ.get(node, {}).items()
+                if weight > 0.0
+            }
+            self._pos_succ[node] = view
+        return view
 
     def packed(self, pack: Callable[["TrustGraph"], "TrustMatrix"]) -> "TrustMatrix":
         """The packed matrix of the graph as it stands.
 
-        *pack* builds it on the first call after a mutation (under the
-        graph guard); later calls return the same read-only matrix until
-        :meth:`add_node`, :meth:`add_edge` or :meth:`remove_edge` drops it.
+        *pack* builds it on the first call after a mutation; later calls
+        return the same read-only matrix until :meth:`add_node`,
+        :meth:`add_edge` or :meth:`remove_edge` drops it.
         """
-        return self._packed.get_or_build(lambda: pack(self))
+        matrix = self._packed
+        if matrix is None:
+            matrix = pack(self)
+            self._packed = matrix
+        return matrix
 
     def out_degree(self, node: str) -> int:
         return len(self._succ.get(node, {}))

@@ -38,15 +38,15 @@ def codes_of(findings: list[Finding]) -> list[str]:
 
 
 #: Every rule the catalogue keeps, in registration order.
-KEPT_RULES = ("RL001", "RL002", "RL005", "RL100", "RL200", "RL301")
+KEPT_RULES = ("RL001", "RL002", "RL005", "RL100", "RL200")
 
 #: A file-rule violation: RL005 on the ``for`` line.
 SET_LOOP = "for x in set(items):\n    emit(x)\n"
 
 
 class TestRuleCatalogue:
-    def test_at_least_six_rules(self):
-        assert len((*DEFAULT_RULES, *DEFAULT_GRAPH_RULES)) >= 6
+    def test_at_least_five_rules(self):
+        assert len((*DEFAULT_RULES, *DEFAULT_GRAPH_RULES)) >= 5
 
     def test_codes_are_unique_and_stable(self):
         assert all_rule_codes() == KEPT_RULES

@@ -68,8 +68,34 @@ class TestDirectEffects:
                         def rebind(self):
                             self._cache = {}
                 """,
+                # A registered cache owner: filling its memo is not an
+                # effect, dropping entries or the matrix is.
+                "repro/__init__.py": "",
+                "repro/core/__init__.py": "",
+                "repro/core/recommender.py": """
+                    def build(key):
+                        return {key: 1.0}
+
+                    class ProfileStore:
+                        def __init__(self):
+                            self._cache = {}
+                            self._matrix = None
+
+                        def fill(self, k):
+                            self._cache[k] = build(k)
+
+                        def drop(self, k):
+                            self._cache.pop(k)
+
+                        def reset(self):
+                            self._matrix = None
+                """,
             },
         )
+        store = "repro.core.recommender.ProfileStore"
+        assert effects_of(index, f"{store}.fill") == frozenset()
+        assert effects_of(index, f"{store}.drop") == {f"mutates:{store}._cache"}
+        assert effects_of(index, f"{store}.reset") == {f"mutates:{store}._matrix"}
         assert effects_of(index, "pkg.m.Store.fill") == {
             "mutates:pkg.m.Store._cache"
         }

@@ -290,7 +290,7 @@ class TestEngineIntegration:
 
     def test_all_rule_codes_covers_graph_rules(self):
         registered = all_rule_codes()
-        for code in ("RL100", "RL200", "RL301"):
+        for code in ("RL100", "RL200"):
             assert code in registered
 
 
@@ -312,7 +312,7 @@ class TestCli:
     def test_list_rules_includes_graph_codes(self, capsys):
         assert main(["--list-rules", "."]) == 0
         out = capsys.readouterr().out
-        for code in ("RL100", "RL200", "RL301"):
+        for code in ("RL100", "RL200"):
             assert code in out
 
 

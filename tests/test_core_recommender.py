@@ -52,6 +52,25 @@ class TestProfileStore:
         store = ProfileStore(dataset, TaxonomyProfileBuilder(figure1))
         assert store.profile("u:1") == {}
 
+    def test_empty_profile_is_built_once(self, figure1, monkeypatch):
+        """A falsy profile is memoised like any other: fills test ``is None``."""
+        dataset = Dataset()
+        dataset.add_agent(Agent(uri="u:1"))
+        builder = TaxonomyProfileBuilder(figure1)
+        calls: list[dict[str, float]] = []
+        build = builder.build
+
+        def counting_build(ratings, products):
+            calls.append(dict(ratings))
+            return build(ratings, products)
+
+        monkeypatch.setattr(builder, "build", counting_build)
+        store = ProfileStore(dataset, builder)
+        first = store.profile("u:1")
+        assert first == {}
+        assert store.profile("u:1") is first
+        assert calls == [{}]
+
 
 class TestSemanticWebRecommender:
     @pytest.fixture
@@ -277,7 +296,7 @@ class TestCacheInvalidation:
         assert recommender._product_profiles
         recommender.invalidate_cache()
         assert not recommender._product_profiles
-        assert recommender._product_matrix.get() is None
+        assert recommender._product_matrix is None
 
     def test_semantic_web_recommender_invalidate_all(self, tiny_dataset, figure1):
         recommender = SemanticWebRecommender.from_dataset(tiny_dataset, figure1)

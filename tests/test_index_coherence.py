@@ -2,7 +2,8 @@
 
 ``Dataset`` answers ``ratings_of`` / ``trust_of`` / ``raters_of`` from
 per-agent, per-source and per-product index dicts, and ``TrustGraph``
-keeps its packed ``TrustMatrix`` until the next mutation.  Both are
+keeps its packed ``TrustMatrix`` and its per-node positive views until
+the next mutation.  Both are
 caches over the plain maps, so both are checked against a brute-force
 rebuild after every step of a random interleaving of the mutation paths
 the repository uses.
@@ -240,3 +241,24 @@ def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
             assert packs.value == before + (1 if changed else 0)
             assert pack_graph(graph) is packed
             assert packs.value == before + (1 if changed else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_graph_steps, max_size=30))
+def test_positive_successors_follow_every_edge_write(steps):
+    graph = TrustGraph()
+    graph.add_node(_NODES[0])
+    for step in steps:
+        held = {node: graph.positive_successors(node) for node in _NODES}
+        contents = {node: dict(view) for node, view in held.items()}
+        _mutate(graph, step)
+        for node in _NODES:
+            # A view handed out before the write is never resized by it.
+            assert held[node] == contents[node]
+            view = graph.positive_successors(node)
+            assert view == {
+                target: weight
+                for target, weight in graph.successors(node).items()
+                if weight > 0.0
+            }
+            assert graph.positive_successors(node) is view

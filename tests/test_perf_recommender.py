@@ -176,9 +176,9 @@ class TestEngineEquivalence:
         cf = PureCFRecommender(dataset=dataset, representation="product")
         agent = sorted(dataset.agents)[0]
         cf.peer_weights(agent)
-        assert cf._product_profiles and cf._product_matrix.get() is not None
+        assert cf._product_profiles and cf._product_matrix is not None
         cf.invalidate_cache()
-        assert not cf._product_profiles and cf._product_matrix.get() is None
+        assert not cf._product_profiles and cf._product_matrix is None
 
 
 class TestContentBasedExplorer:
