@@ -21,10 +21,13 @@ The kernels below mirror :mod:`repro.trust` step by step — quota
 splitting, decay, backward-propagation injection, convergence residual —
 and are held to the same contract as :mod:`repro.perf.kernels`: the dict
 implementations are the oracle, agreement within 1e-9, discrete outputs
-(accepted sets, BFS orders) identical.  The drivers that run these
-kernels for the metrics live in :mod:`repro.trust.engine`; this module
-imports the trust package for typing only (``TYPE_CHECKING``), so the
-layering contract's ``trust -> perf`` edge stays one-directional.
+(accepted sets, BFS orders) identical.  :func:`horizon_slice` cuts a
+bounded Appleseed's horizon out of the whole graph's pack, equal array
+for array to packing ``TrustGraph.within_horizon``'s sub-graph.  The
+drivers that run these kernels for the metrics live in
+:mod:`repro.trust.engine`; this module imports the trust package for
+typing only (``TYPE_CHECKING``), so the layering contract's
+``trust -> perf`` edge stays one-directional.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "bfs_order_levels",
     "distrust_discount",
     "gather_rows",
+    "horizon_slice",
     "level_capacities",
     "pagerank_power",
 ]
@@ -213,22 +217,65 @@ class TrustMatrix:
         )
 
 
-def gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Concatenate the CSR slices of *rows*, preserving row order.
+def _row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat CSR positions of *rows*' entries, row after row, and the
+    length of each row.
 
-    Vectorized ranges-to-flat expansion: the result equals
-    ``np.concatenate([indices[indptr[r]:indptr[r+1]] for r in rows])``
+    Vectorized ranges-to-flat expansion: the positions equal
+    ``np.concatenate([np.arange(indptr[r], indptr[r+1]) for r in rows])``
     without the per-row python loop.
     """
     counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
     ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return indices[np.repeat(indptr[rows], counts) + within]
+    return np.repeat(indptr[rows], counts) + within, counts
+
+
+def gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Concatenate the CSR slices of *rows*, preserving row order."""
+    positions, _ = _row_positions(indptr, rows)
+    return indices[positions]
+
+
+def horizon_slice(matrix: TrustMatrix, source: int, max_depth: int) -> TrustMatrix:
+    """The packed *max_depth*-hop positive horizon of node *source*.
+
+    Equals ``TrustMatrix.from_graph(graph.within_horizon(s, max_depth))``
+    array for array when *matrix* is ``graph``'s pack: nodes in BFS
+    discovery order, source first; each row keeps its edges into the
+    horizon in the whole graph's row order; the negative edges with both
+    ends inside are grouped by their new source, each source's in
+    statement order.  The work tracks the horizon's rows plus one mask
+    over the negative slice, not the whole graph's edges.
+    """
+    order, _ = bfs_order_levels(matrix, source, max_depth)
+    size = order.size
+    remap = np.full(len(matrix), -1, dtype=np.int64)
+    remap[order] = np.arange(size, dtype=np.int64)
+    positions, counts = _row_positions(matrix.indptr, order)
+    targets = remap[matrix.indices[positions]]
+    inside = targets >= 0
+    rows = np.repeat(np.arange(size, dtype=np.int64), counts)[inside]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    neg_src, neg_dst = remap[matrix.neg_src], remap[matrix.neg_dst]
+    kept = np.flatnonzero((neg_src >= 0) & (neg_dst >= 0))
+    # Stable: a source's distrust statements keep their statement order.
+    kept = kept[np.argsort(neg_src[kept], kind="stable")]
+    return TrustMatrix(
+        ids=[matrix.ids[i] for i in order.tolist()],
+        indptr=indptr,
+        indices=targets[inside],
+        weights=matrix.weights[positions[inside]],
+        neg_src=neg_src[kept],
+        neg_dst=neg_dst[kept],
+        neg_weights=matrix.neg_weights[kept],
+    )
 
 
 def appleseed_spread(
@@ -405,15 +452,17 @@ def pagerank_power(
 
 
 def bfs_order_levels(
-    matrix: TrustMatrix, source: int
+    matrix: TrustMatrix, source: int, max_depth: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """BFS discovery order and hop levels along positive edges.
 
     Returns ``(order, level)`` where *order* lists reached node indices
     in exactly the order a deque BFS iterating ``positive_successors``
-    discovers them — Advogato's flow network is construction-order
-    sensitive, so first-occurrence order is part of the contract, not a
-    nicety.  *level* maps every node to its hop count (-1 unreached).
+    discovers them — Advogato's flow network and the horizon slice are
+    construction-order sensitive, so first-occurrence order is part of
+    the contract, not a nicety.  *level* maps every node to its hop
+    count (-1 unreached).  With *max_depth*, the BFS stops after that
+    many hops: the last level is reached but not expanded.
     """
     n = len(matrix)
     level = np.full(n, -1, dtype=np.int64)
@@ -421,7 +470,7 @@ def bfs_order_levels(
     frontier = np.asarray([source], dtype=np.int64)
     chunks = [frontier]
     depth = 0
-    while frontier.size:
+    while frontier.size and (max_depth is None or depth < max_depth):
         targets = gather_rows(matrix.indptr, matrix.indices, frontier)
         targets = targets[level[targets] < 0]
         if targets.size == 0:

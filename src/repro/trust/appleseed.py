@@ -91,7 +91,10 @@ class Appleseed:
     max_depth:
         Optional exploration horizon (hops from the source).  Mirrors the
         paper's "exploring the social network within predefined ranges
-        only"; ``None`` explores the full reachable component.
+        only"; ``None`` explores the full reachable component.  The
+        ``"auto"`` engine slices the horizon out of the graph's cached
+        pack; the ``"python"`` oracle copies it out with
+        :meth:`TrustGraph.within_horizon`.
     backward_propagation:
         When ``True`` (the published algorithm), every discovered node
         carries the virtual weight-1 edge back to the source.  ``False``
@@ -110,9 +113,11 @@ class Appleseed:
     engine:
         ``"auto"`` (default) runs whole sweeps as sparse matrix-vector
         products over the graph's packed
-        :class:`~repro.perf.trustmatrix.TrustMatrix`; ``"python"`` runs
-        the dict loops below, the oracle.  Engines
-        agree within 1e-9 (see :mod:`repro.trust.engine`).
+        :class:`~repro.perf.trustmatrix.TrustMatrix`, or over the
+        ``max_depth`` horizon sliced out of it; the graph keeps that pack
+        until its next mutation.  ``"python"`` runs the dict loops below,
+        the oracle.  Engines agree within 1e-9 (see
+        :mod:`repro.trust.engine`).
     """
 
     def __init__(
@@ -157,8 +162,6 @@ class Appleseed:
             raise ValueError("injection energy must be positive")
         if source not in graph:
             raise KeyError(f"unknown source agent {source!r}")
-        if self.max_depth is not None:
-            graph = graph.within_horizon(source, self.max_depth)
         resolved = engine_path(self.engine, "trust.engine")
         with self._span(source, resolved) as span:
             if resolved == "numpy":
@@ -168,6 +171,8 @@ class Appleseed:
                     pack_graph(graph), source, injection, self
                 )
             else:
+                if self.max_depth is not None:
+                    graph = graph.within_horizon(source, self.max_depth)
                 result = self._compute_python(graph, source, injection)
             self._record(span, result)
         return result

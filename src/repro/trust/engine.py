@@ -35,6 +35,7 @@ from ..perf.trustmatrix import (
     appleseed_spread,
     bfs_order_levels,
     distrust_discount,
+    horizon_slice,
     level_capacities,
     pagerank_power,
 )
@@ -77,13 +78,23 @@ def appleseed_on_matrix(
     injection: float,
     metric: Appleseed,
 ) -> AppleseedResult:
-    """Run one numpy Appleseed computation over a packed matrix.
+    """Run one numpy Appleseed computation over the whole graph's pack.
 
-    The caller has already applied the exploration horizon (the matrix
-    is packed from the — possibly horizon-restricted — graph) and holds
-    the ``appleseed.compute`` span; this assembles the result exactly as
-    the dict oracle shapes it, zero-rank frontier entries included.
+    With ``metric.max_depth`` set, the sweeps run on *source*'s horizon,
+    sliced out of *matrix* by
+    :func:`~repro.perf.trustmatrix.horizon_slice` under a
+    ``trustmatrix.horizon`` span, so bounded queries on an unchanged
+    graph share its one pack.  The caller holds the ``appleseed.compute``
+    span; this assembles the result exactly as the dict oracle shapes
+    it, zero-rank frontier entries included.
     """
+    if metric.max_depth is not None:
+        with get_tracer().span(
+            "trustmatrix.horizon", max_depth=metric.max_depth
+        ) as span:
+            matrix = horizon_slice(matrix, matrix.index[source], metric.max_depth)
+            span.set("nodes", len(matrix))
+            span.set("positive_edges", matrix.nnz)
     index = matrix.index[source]
     rank, member, iterations, converged, history = appleseed_spread(
         matrix,
@@ -252,12 +263,12 @@ def rank_many(
     for any worker count, including the serial in-process path used
     when *runner* is ``None``.
 
-    With ``engine="auto"`` (and no exploration horizon) the payload is
-    the packed :class:`~repro.perf.trustmatrix.TrustMatrix`; with
-    ``"python"`` — or a ``max_depth`` horizon, which needs per-source
-    subgraphs — it is the graph itself and each worker runs
-    :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`
-    with this *engine*.
+    With ``engine="auto"`` the payload is the graph's packed
+    :class:`~repro.perf.trustmatrix.TrustMatrix`, and a metric with a
+    ``max_depth`` horizon slices each source's horizon out of it in the
+    worker; with ``"python"`` it is the graph itself and each worker runs
+    :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`,
+    the dict oracle.
     """
     metric = metric or Appleseed()
     work = list(sources)
@@ -272,7 +283,7 @@ def rank_many(
         engine=resolved,
         nodes=len(graph),
     ) as span:
-        if resolved == "numpy" and metric.max_depth is None:
+        if resolved == "numpy":
             state: tuple[str, object, dict[str, object], float] = (
                 "matrix",
                 pack_graph(graph),

@@ -6,11 +6,13 @@ collectively these form a directed, weighted graph with weights in
 values near zero weak trust.  The graph is the substrate both group trust
 metrics (Appleseed, Advogato) operate on.
 
-Because the Semantic Web scenario forbids global knowledge, the class also
-supports *partial exploration*: :meth:`within_horizon` materializes only
-the ball of a bounded radius around a source agent, which is exactly how
-Appleseed "operates on partial trust graph information, exploring the
-social network within predefined ranges only" (§3.2).
+Because the Semantic Web scenario forbids global knowledge, Appleseed
+"operates on partial trust graph information, exploring the social
+network within predefined ranges only" (§3.2): a bounded query sees only
+the ball of a bounded radius around its source.  The packed engine
+slices that ball out of the graph's cached pack
+(:func:`repro.perf.trustmatrix.horizon_slice`); :meth:`within_horizon`
+copies it out as a sub-graph for the dict oracle and the scalar metrics.
 """
 
 from __future__ import annotations
@@ -192,7 +194,10 @@ class TrustGraph:
         Only edges between discovered nodes are retained.  Traversal
         follows positive edges (distrust does not extend one's horizon)
         but negative edges *between* discovered nodes are kept so distrust
-        post-processing still sees them.
+        post-processing still sees them.  The python Appleseed oracle and
+        :func:`~repro.trust.scalar.horizon_average_trust` explore through
+        this copy; the packed engine slices the same horizon out of
+        :meth:`packed` instead, equal to packing this sub-graph.
         """
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")

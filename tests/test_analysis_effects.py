@@ -595,8 +595,9 @@ class TestRepoEffects:
         )
 
     def test_query_paths_are_pure(self, repo_index):
-        # Cache fills go through get_or_build, a guarded read, so a query
-        # mutates nothing a caller can see.
+        # Cache fills are plain stores of a built value, which the
+        # memo-fill rule reads as non-effects, so a query mutates nothing
+        # a caller can see.
         effects = analyze_effects(repo_index).effects()
         for qualname in (
             "repro.core.recommender.SemanticWebRecommender.recommend",

@@ -12,7 +12,6 @@ from repro.core.diversify import (
 from repro.core.similarity import isclose
 from repro.core.models import Product
 from repro.core.recommender import Recommendation
-from repro.core.taxonomy import figure1_fragment
 
 
 def _products() -> dict[str, Product]:

@@ -15,7 +15,7 @@ from repro.core.profiles import (
     flat_category_profile,
     product_profile,
 )
-from repro.core.taxonomy import Taxonomy, figure1_fragment
+from repro.core.taxonomy import figure1_fragment
 
 
 class TestExample1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
+from repro.core.models import Agent, Dataset, Product, Rating
 from repro.core.neighborhood import NeighborhoodFormation
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import (
@@ -17,7 +17,6 @@ from repro.core.recommender import (
     TrustOnlyRecommender,
 )
 from repro.core.synthesis import LinearBlend
-from repro.core.taxonomy import figure1_fragment
 from repro.trust.graph import TrustGraph
 
 ALICE = "http://example.org/alice"

@@ -6,12 +6,15 @@ keeps its packed ``TrustMatrix`` and its per-node positive views until
 the next mutation.  Both are
 caches over the plain maps, so both are checked against a brute-force
 rebuild after every step of a random interleaving of the mutation paths
-the repository uses.
+the repository uses.  Bounded Appleseed slices its horizon out of that
+cached pack, so the slice is checked the same way, against packing the
+``within_horizon`` sub-graph.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections.abc import Iterable
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
 from repro.obs import MetricsRegistry, collecting
-from repro.perf.trustmatrix import TrustMatrix
+from repro.perf.trustmatrix import TrustMatrix, horizon_slice
 from repro.trust.engine import pack_graph
 from repro.trust.graph import TrustGraph
 
@@ -241,6 +244,41 @@ def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
             assert packs.value == before + (1 if changed else 0)
             assert pack_graph(graph) is packed
             assert packs.value == before + (1 if changed else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.lists(_node, min_size=1, unique=True),
+    edges=st.lists(st.tuples(_edge, _values), max_size=20),
+    steps=st.lists(st.tuples(_graph_steps, st.integers(1, 4)), max_size=20),
+)
+def test_horizon_slice_equals_a_packed_horizon_graph(nodes, edges, steps):
+    """Every source's horizon, sliced out of the cached whole-graph pack,
+    equals packing the ``within_horizon`` sub-graph, after every step.
+
+    Nodes are added in a drawn order before the edges, so a BFS level's
+    discovery order and the sliced negative edges' order differ from
+    node-index order, as the slice must not assume they agree.
+    """
+    graph = TrustGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for (source, target), weight in edges:
+        graph.add_edge(source, target, weight)
+    _assert_slices_match(graph, range(1, 5))
+    for step, depth in steps:
+        _mutate(graph, step)
+        _assert_slices_match(graph, [depth])
+
+
+def _assert_slices_match(graph: TrustGraph, depths: Iterable[int]) -> None:
+    packed = pack_graph(graph)
+    for depth in depths:
+        for source in graph.nodes():
+            _assert_same_matrix(
+                horizon_slice(packed, packed.index[source], depth),
+                TrustMatrix.from_graph(graph.within_horizon(source, depth)),
+            )
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.models import Rating
 from repro.core.neighborhood import NeighborhoodFormation
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import (

@@ -3,8 +3,6 @@ stream helpers, and loose ends across modules."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.models import Agent, Dataset, Product, Rating
 from repro.core.recommender import (
     FallbackRecommender,

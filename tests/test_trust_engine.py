@@ -22,6 +22,7 @@ from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import ProfileStore, PureCFRecommender, SemanticWebRecommender
 from repro.core.similarity import top_similar
 from repro.core.taxonomy import figure1_fragment
+from repro.obs import MetricsRegistry, collecting
 from repro.trust.advogato import Advogato
 from repro.trust.appleseed import Appleseed
 from repro.trust.engine import rank_many
@@ -101,6 +102,8 @@ APPLESEED_CONFIGS = [
     {"spreading_factor": 0.5, "convergence_threshold": 0.001},
     {"max_depth": 2},
     {"max_iterations": 3},
+    {"max_depth": 2, "distrust_mode": "one_step"},
+    {"max_depth": 3, "normalization": "nonlinear"},
 ]
 
 
@@ -285,12 +288,15 @@ class TestRankMany:
             _assert_rank_parity(python, numpy_result)
             assert numpy_result.iterations == python.iterations
 
-    def test_max_depth_falls_back_to_graph_payload(self):
-        """A horizon needs per-source subgraphs; results still agree."""
+    def test_max_depth_sweep_slices_one_shared_pack(self):
+        """Each source's horizon is sliced from one pack of the graph, and
+        every result equals a per-source compute."""
         graph = _dense_graph()
         sources = sorted(graph.nodes())[:4]
         metric = Appleseed(max_depth=2)
-        swept = rank_many(graph, sources, metric=metric, engine="auto")
+        with collecting(MetricsRegistry()) as registry:
+            swept = rank_many(graph, sources, metric=metric, engine="auto")
+        assert registry.counter("trust.matrix.packs").value == 1
         for result in swept:
             direct = Appleseed(max_depth=2, engine="auto").compute(
                 graph, result.source
@@ -301,3 +307,25 @@ class TestRankMany:
         graph = _dense_graph()
         with pytest.raises(KeyError):
             rank_many(graph, ["http://t.example.org/ghost"])
+
+
+# -- bounded queries ---------------------------------------------------------
+
+
+def test_bounded_computes_share_one_pack_until_a_trust_write():
+    """Bounded queries slice the graph's cached pack: one pack for any
+    number of them, and one repack on the first query after a write."""
+    graph = _dense_graph()
+    sources = sorted(graph.nodes())[:10]
+    metric = Appleseed(max_depth=3, engine="auto")
+    with collecting(MetricsRegistry()) as registry:
+        packs = registry.counter("trust.matrix.packs")
+        for source in sources:
+            metric.compute(graph, source)
+        assert packs.value == 1
+        graph.add_edge(sources[0], sources[1], 0.7)
+        metric.compute(graph, sources[0])
+        assert packs.value == 2
+        for source in sources:
+            metric.compute(graph, source)
+        assert packs.value == 2
