@@ -14,9 +14,9 @@ trajectory to ``BENCH_trust_scale.json``:
 
 Acceptance, asserted here in full mode: the numpy engine is ≥10× the
 oracle at 10^4 agents, and the 10^6-agent sweep completes.  Set
-``TRUST_SMOKE=1`` for the CI job: 10^3 agents only, parity plus
-serial-vs-sharded determinism checked, the speedup merely recorded
-(shared runners sit near break-even and add scheduler noise).
+``TRUST_SMOKE=1`` for the CI job: 10^3 agents only, parity checked,
+the speedup merely recorded (shared runners sit near break-even and
+add scheduler noise).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.datasets.generators import stream_trust_edges
 from repro.obs import Stopwatch
 from repro.perf.trustmatrix import TrustMatrix
 from repro.trust.appleseed import Appleseed
-from repro.trust.engine import appleseed_on_matrix, rank_many
+from repro.trust.engine import appleseed_on_matrix
 from repro.trust.graph import TrustGraph
 
 SMOKE = os.environ.get("TRUST_SMOKE") == "1"
@@ -134,17 +134,6 @@ def test_trust_scale():
                 else " (oracle skipped)"
             )
         )
-
-    if SMOKE:
-        # Determinism across worker counts, on the one size smoke runs.
-        graph = TrustGraph.from_edges(_edges(SIZES[0]))
-        sources = sorted(graph.nodes())[:12]
-        serial = rank_many(graph, sources, engine="auto")
-        from repro.perf.parallel import ParallelExperimentRunner
-
-        for workers in (1, 2):
-            runner = ParallelExperimentRunner(max_workers=workers)
-            assert rank_many(graph, sources, engine="auto", runner=runner) == serial
 
     OUTPUT.write_text(  # legacy schema, predates repro-bench/1
         json.dumps({"smoke": SMOKE, "seed": SEED, "sizes": records}, indent=2) + "\n"

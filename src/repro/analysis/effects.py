@@ -24,8 +24,7 @@ via a fixpoint over the :class:`~repro.analysis.symbols.ProjectIndex`
 call graph, resolving ``self.attr.method()`` chains through a
 lightweight type environment (dataclass field annotations,
 ``self.x = param`` in ``__init__``, constructor-typed locals) and
-unwrapping ``functools.partial`` plus the ``map``/``map_seeded``/
-``map_chunked``/``submit`` pool dispatchers.  Constructing a class does
+unwrapping ``functools.partial``.  Constructing a class does
 **not** import its ``__init__`` effects: initializing a fresh object is
 not a mutation of pre-existing state.  Like every graph pass this is
 best-effort static analysis — dynamic dispatch and untyped receivers
@@ -69,10 +68,6 @@ __all__ = [
 ]
 
 MUTATES_GLOBAL = "mutates:global"
-
-#: Methods that hand a callable to a process pool: the worker is a real
-#: call edge of the dispatching function.
-_DISPATCH_METHODS = frozenset({"map", "map_seeded", "map_chunked", "submit"})
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -615,19 +610,10 @@ class EffectAnalysis:
         resolved = self._resolve_call_target(call, ctx)
 
         # functools.partial(worker, ...) defers the worker's effects to
-        # whoever calls the partial; pool dispatchers (map/submit)
-        # definitely run it — either way the edge is real.
+        # whoever calls the partial, so the edge is real.
         if (
             resolved is not None
             and resolved.rpartition(".")[2] == "partial"
-            and call.args
-        ):
-            ref = self._function_ref(call.args[0], ctx)
-            if ref is not None:
-                self._add_edge(callees, ref)
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in _DISPATCH_METHODS
             and call.args
         ):
             ref = self._function_ref(call.args[0], ctx)

@@ -6,11 +6,10 @@ gives the record).  Three are per-file rules, defined here:
 
 ========  ==============================================================
 ``RL001``  unseeded randomness — module-level ``random.*`` /
-           ``np.random.*`` calls break same-seed determinism and the
-           byte-identical ``ParallelExperimentRunner`` merge contract
-           (position-derived seeds only work when *all* randomness flows
-           through injected ``random.Random`` / ``numpy`` ``Generator``
-           objects)
+           ``np.random.*`` calls break same-seed determinism (two runs
+           with one seed print the same bytes only when *all*
+           randomness flows through injected ``random.Random`` /
+           ``numpy`` ``Generator`` objects)
 ``RL002``  float ``==`` / ``!=`` on similarity/trust/score expressions —
            the numpy and pure-python engines agree to 1e-9, not bit-for-
            bit; exact comparison must go through the shared tolerance
@@ -58,17 +57,17 @@ __all__ = [
 class UnseededRandomRule(Rule):
     """RL001: module-level ``random.*`` / ``np.random.*`` calls.
 
-    The parallel experiment runner derives per-task seeds from submission
-    position and merges results byte-identically; any draw from the
-    module-level (globally seeded) generators escapes that contract.
-    Seeded construction — ``random.Random(seed)``,
-    ``np.random.default_rng(seed)``, ``np.random.Generator(...)`` — is
-    fine; *calling* the module-level functions, or constructing either
-    generator without a seed argument, is not.
+    Every experiment and CLI command prints byte-identical output for
+    the same seed; any draw from the module-level (globally seeded)
+    generators escapes that contract.  Seeded construction —
+    ``random.Random(seed)``, ``np.random.default_rng(seed)``,
+    ``np.random.Generator(...)`` — is fine; *calling* the module-level
+    functions, or constructing either generator without a seed argument,
+    is not.
     """
 
     code = "RL001"
-    summary = "unseeded randomness breaks the parallel merge contract"
+    summary = "unseeded randomness breaks same-seed determinism"
 
     _SEEDED_CONSTRUCTORS = frozenset({"Random", "SystemRandom", "default_rng", "Generator"})
     _RANDOM_MODULES = frozenset({"random", "np.random", "numpy.random"})
@@ -90,7 +89,7 @@ class UnseededRandomRule(Rule):
                     node,
                     context,
                     f"{name}() constructed without a seed; inject a seeded "
-                    "generator instead (parallel-merge determinism)",
+                    "generator instead (same-seed determinism)",
                 )
                 continue
             yield self.finding(

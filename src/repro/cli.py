@@ -6,11 +6,9 @@ Installed as the ``repro`` console script.  Subcommands:
 * ``repro info``       — summarize a dataset snapshot
 * ``repro recommend``  — top-N recommendations for one agent
 * ``repro trust``      — trust neighborhood of one agent (Appleseed/Advogato);
-  ``repro trust rank SOURCE... --workers N`` runs a sharded
+  ``repro trust rank SOURCE...`` runs one
   :func:`~repro.trust.engine.rank_many` sweep over many sources
-* ``repro experiment`` — run one EX table (EX01–EX23) and print it;
-  ``--parallel N`` fans EX02/EX03/EX05/EX06/EX17 and the EX20–EX23
-  dynamics scenarios out over worker processes
+* ``repro experiment`` — run one EX table (EX01–EX23) and print it
 * ``repro demo``       — full decentralized loop (optionally under faults)
 * ``repro crawl``      — chaos crawl: replicate a community under injected
   faults (``--fault-rate/--fault-seed/--retries`` …) and report
@@ -110,10 +108,6 @@ _EXPERIMENTS = {
     "EX23": ("scenarios", "run_ex23_drift", False),
 }
 
-#: Experiments whose runner accepts a ``runner=`` keyword for parallel
-#: per-user / per-agent fan-out (``repro experiment --parallel N``).
-_PARALLELIZABLE = {"EX02", "EX03", "EX05", "EX06", "EX17", "EX20", "EX21", "EX22", "EX23"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     # Deferred so that importing repro.cli never loads the lint package.
@@ -167,13 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     trust_sub = trust.add_subparsers(dest="trust_command", metavar="SUBCOMMAND")
     rank = trust_sub.add_parser(
         "rank",
-        help="sharded Appleseed rank sweep over many sources (rank_many)",
+        help="Appleseed rank sweep over many sources (rank_many)",
     )
     rank.add_argument("sources", nargs="*", metavar="SOURCE",
                       help="source agent URIs (default: every agent)")
     rank.add_argument("--data", default=None)
-    rank.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker processes (default: serial in-process)")
     rank.add_argument("--top", type=int, default=3,
                       help="top peers to print per source")
     _add_obs_arguments(rank)
@@ -181,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run one experiment table")
     experiment.add_argument("id", choices=sorted(_EXPERIMENTS), metavar="ID",
                             type=str.upper, help="EX01..EX23 (case-insensitive)")
-    experiment.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="worker processes for per-user fan-out "
-             f"({', '.join(sorted(_PARALLELIZABLE))} only); "
-             "tables are identical to serial runs",
-    )
     _add_obs_arguments(experiment)
 
     demo = sub.add_parser(
@@ -426,7 +412,7 @@ def _cmd_trust(args: argparse.Namespace) -> int:
 
 
 def _cmd_trust_rank(args: argparse.Namespace) -> int:
-    """Sharded Appleseed sweep over many sources (``repro trust rank``)."""
+    """Appleseed sweep over many sources (``repro trust rank``)."""
     from .trust.engine import rank_many
 
     if args.data is None:
@@ -437,12 +423,7 @@ def _cmd_trust_rank(args: argparse.Namespace) -> int:
     for source in sources:
         if source not in dataset.agents:
             raise SystemExit(f"error: unknown agent {source!r}")
-    runner = None
-    if args.workers is not None:
-        from .perf.parallel import ParallelExperimentRunner
-
-        runner = ParallelExperimentRunner(max_workers=args.workers)
-    results = rank_many(graph, sources, runner=runner)
+    results = rank_many(graph, sources)
     for result in results:
         print(
             f"{result.source}\t{len(result.ranks)} ranked\t"
@@ -471,21 +452,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "scenarios": scenarios,
     }
     func = getattr(modules[module_name], func_name)
-    kwargs = {}
-    if args.parallel is not None:
-        if args.id not in _PARALLELIZABLE:
-            raise SystemExit(
-                f"error: --parallel supports {', '.join(sorted(_PARALLELIZABLE))} "
-                f"only, not {args.id}"
-            )
-        from .perf.parallel import ParallelExperimentRunner
-
-        kwargs["runner"] = ParallelExperimentRunner(max_workers=args.parallel)
     with get_tracer().span(f"experiment.{args.id}"):
         if needs_community:
-            table = func(experiments.default_community(), **kwargs)
+            table = func(experiments.default_community())
         else:
-            table = func(**kwargs)
+            table = func()
     print(table.render())
     return 0
 

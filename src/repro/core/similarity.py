@@ -96,8 +96,8 @@ def _domain_keys(
     left: Mapping[str, float], right: Mapping[str, float], domain: Domain
 ) -> list[str]:
     # sorted(): set-algebra order depends on PYTHONHASHSEED, and float
-    # summation order shifts the low bits — enough to break byte-identical
-    # parallel merges across processes.
+    # summation order shifts the low bits; sorted keys keep reruns
+    # byte-identical across PYTHONHASHSEED values.
     if domain == "union":
         return sorted(left.keys() | right.keys())
     if domain == "intersection":
@@ -229,10 +229,10 @@ def top_similar(
         raise ValueError(f"unknown similarity measure {measure!r}")
     if domain not in ("union", "intersection"):
         raise ValueError(f"unknown domain {domain!r}")
-    packed = engine_path(engine) == "numpy"
+    check_engine(engine)
     if limit is not None and limit <= 0:
         return []
-    if packed:
+    if engine_path(engine) == "numpy":
         # Imported lazily: repro.perf.kernels imports this module.
         from ..perf.kernels import rank_profiles
 

@@ -6,7 +6,7 @@ schema.  This module is that schema's single owner:
 
 * :func:`run_bench` drives the three phases every scale-out PR cares
   about — **build** (community generation + profile packing), **query**
-  (hybrid recommendations) and **trust** (a sharded
+  (hybrid recommendations) and **trust** (a multi-source
   :func:`~repro.trust.engine.rank_many` sweep) — across declared
   community sizes, *with tracing always on*, so every wall time in the
   output carries the name of its dominant span (the span name with the

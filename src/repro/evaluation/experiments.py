@@ -14,8 +14,6 @@ to finish in seconds.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from ..core.models import Dataset
 from ..core.neighborhood import NeighborhoodFormation
@@ -49,9 +47,6 @@ from ..trust.scalar import multiplicative_path_trust, scalar_neighborhood
 from .attacks import inject_profile_copy_attack, inject_sybil_region
 from .metrics import mean, standard_error
 from .protocol import Table, evaluate_recommender, holdout_split
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..perf.parallel import ParallelExperimentRunner
 
 __all__ = [
     "default_community",
@@ -134,16 +129,14 @@ def run_ex02_trust_similarity(
     community: SyntheticCommunity | None = None,
     n_samples: int = 400,
     seed: int = 7,
-    runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Mean profile similarity of trusted pairs vs 2-hop pairs vs random.
 
     Besides the raw statement classes, a fourth class correlates the
     *metric-formed* neighborhoods the §3.2 pipeline actually uses: each
     sampled source paired with its top-ranked Appleseed peer, computed
-    as one sharded :func:`~repro.trust.engine.rank_many` sweep over the
-    packed trust matrix (*runner* selects the fan-out; results are
-    worker-count-independent).
+    as one :func:`~repro.trust.engine.rank_many` sweep over the packed
+    trust matrix.
     """
     community = community or default_community()
     dataset = community.dataset
@@ -188,7 +181,7 @@ def run_ex02_trust_similarity(
     )
     neighborhood_pairs = [
         (result.source, result.top(1)[0][0])
-        for result in rank_many(graph, sweep_sources, runner=runner)
+        for result in rank_many(graph, sweep_sources)
         if result.ranks
     ]
 
@@ -231,13 +224,11 @@ def run_ex03_appleseed_convergence(
     community: SyntheticCommunity | None = None,
     n_sources: int = 10,
     seed: int = 3,
-    runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Iterations and neighborhood size across d, T_c and injection.
 
-    Each ``(d, T_c, injection)`` configuration runs as one sharded
-    :func:`~repro.trust.engine.rank_many` sweep; *runner* changes
-    wall-clock only, never a table cell.
+    Each ``(d, T_c, injection)`` configuration runs as one
+    :func:`~repro.trust.engine.rank_many` sweep.
     """
     community = community or default_community()
     graph = TrustGraph.from_dataset(community.dataset)
@@ -262,11 +253,7 @@ def run_ex03_appleseed_convergence(
                     "ex03.config", d=d, T_c=threshold, injection=injection
                 ) as span:
                     for result in rank_many(
-                        graph,
-                        sources,
-                        metric=metric,
-                        injection=injection,
-                        runner=runner,
+                        graph, sources, metric=metric, injection=injection
                     ):
                         iterations.append(result.iterations)
                         sizes.append(len(result.neighborhood(0.1)))
@@ -368,68 +355,29 @@ def run_ex04_attack_resistance(
 # ---------------------------------------------------------------------------
 
 
-def _ex05_profile_chunk(
-    task: tuple[Dataset, Taxonomy, Sequence[str]],
-) -> list[tuple[str, Profile, Profile, Profile]]:
-    """Worker: all three profile representations for one agent chunk.
-
-    Module-level so :class:`~repro.perf.parallel.ParallelExperimentRunner`
-    can pickle it into worker processes.
-    """
-    dataset, taxonomy, agents = task
-    builder = TaxonomyProfileBuilder(taxonomy)
-    out: list[tuple[str, Profile, Profile, Profile]] = []
-    for agent in agents:
-        ratings = dataset.ratings_of(agent)
-        out.append(
-            (
-                agent,
-                builder.build(ratings, dataset.products),
-                flat_category_profile(ratings, dataset.products, known_topics=taxonomy),
-                product_profile(ratings),
-            )
-        )
-    return out
-
-
 def run_ex05_profile_overlap(
     community: SyntheticCommunity | None = None,
     n_pairs: int = 500,
     seed: int = 5,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
-    """Fraction of agent pairs with any overlap, per representation.
-
-    *runner* parallelizes the per-agent profile builds; the merge is
-    keyed by agent identifier, so the table is identical to a serial run.
-    """
+    """Fraction of agent pairs with any overlap, per representation."""
     community = community or default_community()
     dataset = community.dataset
     taxonomy = community.taxonomy
     rng = random.Random(seed)
     agents = sorted(dataset.agents)
 
-    taxonomy_profiles = {}
-    flat_profiles = {}
-    product_profiles = {}
-    if runner is None:
-        built = _ex05_profile_chunk((dataset, taxonomy, agents))
-    else:
-        from ..perf.parallel import split_evenly
-
-        chunks = split_evenly(agents, runner.effective_workers())
-        built = [
-            entry
-            for chunk_result in runner.map(
-                _ex05_profile_chunk,
-                [(dataset, taxonomy, chunk) for chunk in chunks],
-            )
-            for entry in chunk_result
-        ]
-    for agent, tax, flat, prod in built:
-        taxonomy_profiles[agent] = tax
-        flat_profiles[agent] = flat
-        product_profiles[agent] = prod
+    builder = TaxonomyProfileBuilder(taxonomy)
+    taxonomy_profiles: dict[str, Profile] = {}
+    flat_profiles: dict[str, Profile] = {}
+    product_profiles: dict[str, Profile] = {}
+    for agent in agents:
+        ratings = dataset.ratings_of(agent)
+        taxonomy_profiles[agent] = builder.build(ratings, dataset.products)
+        flat_profiles[agent] = flat_category_profile(
+            ratings, dataset.products, known_topics=taxonomy
+        )
+        product_profiles[agent] = product_profile(ratings)
 
     pairs = []
     while len(pairs) < n_pairs:
@@ -506,13 +454,8 @@ def run_ex06_recommendation_quality(
     per_user: int = 5,
     max_users: int = 40,
     seed: int = 13,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
-    """Leave-``per_user``-out precision/recall/F1@N across methods.
-
-    *runner* parallelizes per-user scoring inside each method's
-    evaluation; the table is byte-identical to a serial run.
-    """
+    """Leave-``per_user``-out precision/recall/F1@N across methods."""
     community = community or default_community()
     split = holdout_split(
         community.dataset,
@@ -526,9 +469,7 @@ def run_ex06_recommendation_quality(
         headers=["method", "users", "precision", "recall", "F1", "hit-rate"],
     )
     for name, recommender in _build_methods(split.train, community.taxonomy):
-        report = evaluate_recommender(
-            name, recommender, split, top_n=top_n, runner=runner
-        )
+        report = evaluate_recommender(name, recommender, split, top_n=top_n)
         table.add_row(*report.as_row())
     table.add_note(
         "expected shape: personalized methods beat popularity and random; "

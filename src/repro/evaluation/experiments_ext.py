@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
 
 from ..core.models import Dataset, Product
 from ..core.neighborhood import NeighborhoodFormation
@@ -40,9 +39,6 @@ from ..trust.engine import rank_many
 from ..trust.graph import TrustGraph
 from .metrics import mean
 from .protocol import Table, evaluate_recommender, holdout_split
-
-if TYPE_CHECKING:
-    from ..perf.parallel import ParallelExperimentRunner
 
 __all__ = [
     "explicit_community",
@@ -424,7 +420,6 @@ def run_ex17_distrust(
     n_rogues: int = 10,
     accuser_fraction: float = 0.5,
     seed: int = 53,
-    runner: ParallelExperimentRunner | None = None,
 ) -> Table:
     """Effect of distrust statements on rogue agents' Appleseed rank.
 
@@ -473,7 +468,7 @@ def run_ex17_distrust(
     ):
         shares: list[float] = []
         admissions: list[float] = []
-        for result in rank_many(graph, sources, metric=metric, runner=runner):
+        for result in rank_many(graph, sources, metric=metric):
             total = sum(result.ranks.values())
             rogue_mass = sum(result.ranks.get(r, 0.0) for r in rogues)
             shares.append(rogue_mass / total if total else 0.0)

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..core.models import Dataset
 from ..core.recommender import Recommender
 from .metrics import f1_score, hit_rate, mean, precision_at, recall_at, standard_error
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..perf.parallel import ParallelExperimentRunner
 
 __all__ = [
     "HoldoutSplit",
@@ -31,6 +27,7 @@ __all__ = [
     "evaluate_recommender",
     "holdout_split",
     "kfold_splits",
+    "per_user_scores",
 ]
 
 
@@ -171,18 +168,17 @@ class QualityReport:
         return ["method", "users", "precision", "recall", "F1", "hit-rate"]
 
 
-def _score_user_chunk(
-    task: tuple[Recommender, dict[str, frozenset[str]], list[str], int],
+def per_user_scores(
+    recommender: Recommender, split: HoldoutSplit, top_n: int = 10
 ) -> list[tuple[float, float, float]]:
-    """Worker for parallel evaluation: score one contiguous user chunk.
+    """One ``(precision, recall, hit)`` triple per test user of *split*.
 
-    Module-level so process pools can pickle it; returns one
-    ``(precision, recall, hit)`` triple per user, in chunk order.
+    Triples follow ``split.test_users`` order; each scores the user's
+    top-*top_n* list against their withheld items.
     """
-    recommender, held_out, users, top_n = task
     triples: list[tuple[float, float, float]] = []
-    for agent in users:
-        relevant = set(held_out[agent])
+    for agent in split.test_users:
+        relevant = set(split.held_out[agent])
         recommended = [
             item.product for item in recommender.recommend(agent, limit=top_n)
         ]
@@ -201,32 +197,13 @@ def evaluate_recommender(
     recommender: Recommender,
     split: HoldoutSplit,
     top_n: int = 10,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> QualityReport:
     """Score *recommender* on *split* with top-*top_n* lists.
 
     The recommender must have been built over ``split.train`` — this
-    function only drives it and scores the lists.  Passing a *runner*
-    fans the per-user scoring out over contiguous user chunks; because
-    chunks are merged in submission order, the aggregated report is
-    byte-identical to the serial one regardless of worker count.
+    function only drives it and scores the lists.
     """
-    users = split.test_users
-    if runner is None:
-        triples = _score_user_chunk((recommender, split.held_out, users, top_n))
-    else:
-        from ..perf.parallel import split_evenly
-
-        chunks = split_evenly(users, runner.effective_workers())
-        tasks = [
-            (recommender, {u: split.held_out[u] for u in chunk}, chunk, top_n)
-            for chunk in chunks
-        ]
-        triples = [
-            triple
-            for chunk_triples in runner.map(_score_user_chunk, tasks)
-            for triple in chunk_triples
-        ]
+    triples = per_user_scores(recommender, split, top_n)
     precisions = [t[0] for t in triples]
     recalls = [t[1] for t in triples]
     hits = [t[2] for t in triples]

@@ -22,9 +22,9 @@ Per-epoch hybrid-vs-CF comparisons feed
 :func:`~repro.evaluation.significance.compare_epoch_series`
 (bootstrap + permutation per epoch, Holm–Bonferroni across epochs), so
 "trust degrades gracefully" is a tested statistical claim.  Everything
-is deterministic given the seed; ``runner=`` fans per-user scoring out
-exactly like :func:`~repro.evaluation.protocol.evaluate_recommender`
-(submission-order merge, byte-identical to serial).  Setting
+is deterministic given the seed, and per-user scoring is
+:func:`~repro.evaluation.protocol.evaluate_recommender`'s own
+:func:`~repro.evaluation.protocol.per_user_scores`.  Setting
 ``EX2x_SMOKE=1`` shrinks the default sizes for CI smoke runs.
 """
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from ..core.models import Dataset
 from ..core.neighborhood import NeighborhoodFormation
@@ -47,7 +46,6 @@ from ..core.recommender import (
 from ..core.taxonomy import Taxonomy
 from ..datasets.generators import SyntheticCommunity
 from ..obs import get_metrics, get_tracer
-from ..perf.parallel import derive_seed, split_evenly
 from ..trust.appleseed import Appleseed
 from ..trust.graph import TrustGraph
 from .dynamics import (
@@ -62,11 +60,8 @@ from .dynamics import (
 )
 from .experiments import default_community
 from .metrics import mean
-from .protocol import HoldoutSplit, Table, _score_user_chunk, holdout_split
-from .significance import SeriesComparison, compare_epoch_series
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..perf.parallel import ParallelExperimentRunner
+from .protocol import HoldoutSplit, Table, holdout_split, per_user_scores
+from .significance import SeriesComparison, compare_epoch_series, derive_seed
 
 __all__ = [
     "run_ex20_churn",
@@ -144,32 +139,10 @@ def _honest_split(
 
 
 def _per_user_precision(
-    recommender: Recommender,
-    split: HoldoutSplit,
-    top_n: int,
-    runner: "ParallelExperimentRunner | None",
+    recommender: Recommender, split: HoldoutSplit, top_n: int
 ) -> list[float]:
-    """Per-user precision@N in ``split.test_users`` order.
-
-    The parallel path mirrors :func:`~repro.evaluation.protocol
-    .evaluate_recommender`: contiguous user chunks merged in submission
-    order, so any worker count yields the serial sequence.
-    """
-    users = split.test_users
-    if runner is None:
-        triples = _score_user_chunk((recommender, split.held_out, users, top_n))
-    else:
-        chunks = split_evenly(users, runner.effective_workers())
-        tasks = [
-            (recommender, {u: split.held_out[u] for u in chunk}, chunk, top_n)
-            for chunk in chunks
-        ]
-        triples = [
-            triple
-            for chunk_triples in runner.map(_score_user_chunk, tasks)
-            for triple in chunk_triples
-        ]
-    return [t[0] for t in triples]
+    """Per-user precision@N in ``split.test_users`` order."""
+    return [t[0] for t in per_user_scores(recommender, split, top_n)]
 
 
 def _epoch_series(
@@ -180,7 +153,6 @@ def _epoch_series(
     max_users: int | None,
     top_n: int,
     seed: int,
-    runner: "ParallelExperimentRunner | None",
 ) -> tuple[list[list[float]], list[list[float]]]:
     """Per-epoch (hybrid, CF) per-user precision sequences."""
     hybrid_series: list[list[float]] = []
@@ -197,8 +169,8 @@ def _epoch_series(
                 seed=derive_seed(seed, snapshot.epoch),
             )
             hybrid, cf = _build_methods(split.train, taxonomy)
-            hybrid_series.append(_per_user_precision(hybrid, split, top_n, runner))
-            cf_series.append(_per_user_precision(cf, split, top_n, runner))
+            hybrid_series.append(_per_user_precision(hybrid, split, top_n))
+            cf_series.append(_per_user_precision(cf, split, top_n))
     return hybrid_series, cf_series
 
 
@@ -226,7 +198,6 @@ def run_ex20_churn(
     min_ratings: int = 8,
     max_users: int | None = None,
     rounds: int | None = None,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
     """Hybrid vs CF accuracy as membership churn intensifies."""
     smoke = _smoke()
@@ -258,7 +229,7 @@ def run_ex20_churn(
         ).run()
         hybrid_series, cf_series = _epoch_series(
             snapshots, community.taxonomy, per_user, min_ratings, max_users,
-            top_n, seed, runner,
+            top_n, seed,
         )
         comparison = compare_epoch_series(
             hybrid_series, cf_series, rounds=rounds, seed=seed
@@ -312,7 +283,6 @@ def run_ex21_coldstart(
     min_ratings: int = 8,
     max_users: int | None = None,
     rounds: int | None = None,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
     """Established-user accuracy and newcomer coverage under influx."""
     smoke = _smoke()
@@ -342,7 +312,7 @@ def run_ex21_coldstart(
         ).run()
         hybrid_series, cf_series = _epoch_series(
             snapshots, community.taxonomy, per_user, min_ratings, max_users,
-            top_n, seed, runner,
+            top_n, seed,
         )
         comparison = compare_epoch_series(
             hybrid_series, cf_series, rounds=rounds, seed=seed
@@ -390,7 +360,6 @@ def run_ex22_evolving_sybil(
     per_user: int = 3,
     min_ratings: int = 8,
     max_users: int | None = None,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
     """A sybil ring accreting identities, forged profiles and bridges.
 
@@ -440,7 +409,7 @@ def run_ex22_evolving_sybil(
         ).run()
         hybrid_series, _ = _epoch_series(
             snapshots, community.taxonomy, per_user, min_ratings, max_users,
-            top_n, seed, runner,
+            top_n, seed,
         )
 
         hybrid_contamination: list[float] = []
@@ -503,7 +472,6 @@ def run_ex23_drift(
     min_ratings: int = 8,
     max_users: int | None = None,
     rounds: int | None = None,
-    runner: "ParallelExperimentRunner | None" = None,
 ) -> Table:
     """Hybrid vs CF accuracy as interest clusters erode."""
     smoke = _smoke()
@@ -535,7 +503,7 @@ def run_ex23_drift(
         ).run()
         hybrid_series, cf_series = _epoch_series(
             snapshots, community.taxonomy, per_user, min_ratings, max_users,
-            top_n, seed, runner,
+            top_n, seed,
         )
         comparison = compare_epoch_series(
             hybrid_series, cf_series, rounds=rounds, seed=seed

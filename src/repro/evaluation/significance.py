@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core.recommender import Recommender
-from ..perf.parallel import derive_seed
 from .metrics import mean, precision_at
 from .protocol import HoldoutSplit
 
@@ -34,10 +33,20 @@ __all__ = [
     "SeriesComparison",
     "bootstrap_confidence_interval",
     "compare_epoch_series",
+    "derive_seed",
     "holm_bonferroni",
     "paired_permutation_test",
     "paired_scores",
 ]
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """A per-index seed derived from *seed*, e.g. one per epoch.
+
+    String seeding keeps this independent of ``PYTHONHASHSEED`` (the same
+    trick :class:`repro.core.recommender.RandomRecommender` uses).
+    """
+    return random.Random(f"{seed}:{index}").getrandbits(63)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,11 +181,10 @@ def compare_epoch_series(
 
     *first* and *second* hold one per-user score sequence per epoch
     (same users, same order within each epoch).  Each epoch gets its own
-    permutation test and bootstrap CI (seeded via
-    :func:`~repro.perf.parallel.derive_seed` so epochs are independent
-    but reproducible); the family of per-epoch p-values is Holm-adjusted
-    and the concatenation of all per-user differences feeds the pooled
-    omnibus test.
+    permutation test and bootstrap CI (seeded via :func:`derive_seed` so
+    epochs are independent but reproducible); the family of per-epoch
+    p-values is Holm-adjusted and the concatenation of all per-user
+    differences feeds the pooled omnibus test.
     """
     if len(first) != len(second):
         raise ValueError("series must have one entry per epoch on both sides")

@@ -12,11 +12,9 @@ honest totals).  The CLI scopes both with the :func:`tracing` /
 :func:`collecting` context managers, which also guarantee restoration
 on error.
 
-Pool workers see the defaults, not the parent's bindings: the parallel
-runner spawns each worker from a fresh interpreter, so none can append
-into the parent's span list.
-The parallel runner instead records fan-out shape from the parent side
-(see :mod:`repro.perf.parallel`).
+The bindings are plain module globals: the program runs in one process
+on one thread (DESIGN.md §4), so every instrumented call in a scope
+reports to the same sinks.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-"""Performance subsystem: packed numpy kernels + parallel experiment fan-out.
+"""Performance subsystem: packed numpy kernels.
 
-The community-scale hot path — all-pairs profile similarity, the group
-trust metrics and the experiment sweeps over principals — phrases as
-numpy array operations and a process-pool map without changing a single
-numeric result.  See :mod:`repro.perf.matrix` (packed profiles),
-:mod:`repro.perf.kernels` (vectorized Pearson/cosine + heap top-k),
-:mod:`repro.perf.trustmatrix` (CSR-packed web of trust + Appleseed,
-PageRank and Advogato kernels) and :mod:`repro.perf.parallel`
-(deterministic multi-core sweeps).
+The community-scale hot path — all-pairs profile similarity and the
+group trust metrics — phrases as numpy array operations without
+changing a single numeric result.  See :mod:`repro.perf.matrix` (packed
+profiles), :mod:`repro.perf.kernels` (vectorized Pearson/cosine + heap
+top-k) and :mod:`repro.perf.trustmatrix` (CSR-packed web of trust +
+Appleseed, PageRank and Advogato kernels).
 
 These kernels are the one production path: every ``engine="auto"``
 switch runs them, and ``engine="python"`` selects the dict reference
@@ -26,21 +24,17 @@ from .kernels import (
     top_k_pairs,
 )
 from .matrix import ProfileMatrix, TopicVocabulary
-from .parallel import ParallelExperimentRunner, derive_seed, split_evenly
 from .trustmatrix import TrustMatrix
 
 __all__ = [
-    "ParallelExperimentRunner",
     "ProfileMatrix",
     "TopicVocabulary",
     "TrustMatrix",
     "community_scores",
     "cosine_many",
-    "derive_seed",
     "pearson_many",
     "rank_profiles",
     "similarity_many",
-    "split_evenly",
     "top_k",
     "top_k_pairs",
 ]

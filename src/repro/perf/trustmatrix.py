@@ -58,8 +58,8 @@ class TrustMatrix:
     Node order follows the graph's insertion order (``graph.nodes()``),
     per-row target order follows ``positive_successors`` — both are load
     bearing for reproducing the dict engines' traversal orders.  The
-    structure is immutable and picklable, so sharded sweeps can ship one
-    packed copy to every worker instead of the dict-of-dicts graph.
+    structure is immutable, so every source of a multi-source sweep
+    reads the same pack.
     """
 
     __slots__ = (

@@ -4,13 +4,13 @@ from .diff import GraphDelta, HomepageUpdate, graph_diff, summarize_homepage_upd
 from .namespace import FOAF, RDF, RDFS, REPRO, TRUST, Namespace
 from .query import Variable, select, select_one
 from .rdf import BNode, Graph, Literal, Node, URIRef
-from .validation import Issue, validate_homepage
 from .serializer import (
     ParseError,
     parse_ntriples,
     serialize_ntriples,
     serialize_turtle,
 )
+from .validation import Issue, validate_homepage
 
 __all__ = [
     "BNode",

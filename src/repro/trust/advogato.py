@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from ..core.similarity import check_engine, engine_path
 from ..obs import get_metrics, get_tracer
-
 from .graph import TrustGraph
 from .maxflow import FlowNetwork
 

@@ -34,7 +34,6 @@ from typing import Literal
 
 from ..core.similarity import check_engine, engine_path
 from ..obs import NullSpan, Span, get_metrics, get_tracer
-
 from .graph import TrustGraph
 
 __all__ = ["Appleseed", "AppleseedResult"]

@@ -1,4 +1,4 @@
-"""Packed-kernel drivers and sharded fan-out for the group trust metrics.
+"""Packed-kernel drivers and multi-source sweeps for the group trust metrics.
 
 Every group metric (:class:`~repro.trust.appleseed.Appleseed`,
 :class:`~repro.trust.advogato.Advogato`,
@@ -15,21 +15,16 @@ outputs (Advogato's accepted set, neighborhood membership at threshold
 0.0) — choosing an engine is a performance decision, never a semantic
 one.
 
-:func:`rank_many` adds partition-by-source sharding: the packed matrix
-is read-only and picklable, so multi-source sweeps fan contiguous
-source chunks out to :class:`~repro.perf.parallel.ParallelExperimentRunner`
-workers and merge in submission order — byte-identical for any worker
-count.
+:func:`rank_many` sweeps many sources over one pack of the graph.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
-from functools import partial
 
 from ..core.similarity import engine_path
 from ..obs import get_metrics, get_tracer
-from ..perf.parallel import ParallelExperimentRunner, split_evenly
 from ..perf.trustmatrix import (
     TrustMatrix,
     appleseed_spread,
@@ -39,7 +34,6 @@ from ..perf.trustmatrix import (
     level_capacities,
     pagerank_power,
 )
-
 from .advogato import Advogato, AdvogatoResult
 from .appleseed import Appleseed, AppleseedResult
 from .graph import TrustGraph
@@ -200,49 +194,7 @@ def pagerank_on_matrix(
     return ranks, iterations, converged
 
 
-# -- partition-by-source sharding -------------------------------------------
-
-
-def _metric_settings(metric: Appleseed) -> dict[str, object]:
-    """The constructor arguments reproducing *metric* in a worker."""
-    return {
-        "spreading_factor": metric.spreading_factor,
-        "convergence_threshold": metric.convergence_threshold,
-        "max_iterations": metric.max_iterations,
-        "normalization": metric.normalization,
-        "max_depth": metric.max_depth,
-        "distrust_mode": metric.distrust_mode,
-        "backward_propagation": metric.backward_propagation,
-    }
-
-
-def _rank_chunk(
-    state: tuple[str, object, dict[str, object], float],
-    chunk: list[str],
-) -> list[AppleseedResult]:
-    """Worker: rank one contiguous source chunk over the shared payload.
-
-    Module-level and payload-picklable, as
-    :class:`~repro.perf.parallel.ParallelExperimentRunner` requires.
-    Workers run with the null tracer, so per-source spans cost nothing
-    off the parent process.
-    """
-    kind, payload, settings, injection = state
-    metric = Appleseed(**settings)  # type: ignore[arg-type]
-    if kind == "matrix":
-        matrix: TrustMatrix = payload  # type: ignore[assignment]
-        results = []
-        for source in chunk:
-            # Same span + metrics contract as Appleseed.compute, so a
-            # sharded sweep leaves the same evidence a source-by-source
-            # loop would (null tracer — hence free — inside workers).
-            with metric._span(source, "numpy") as span:
-                result = appleseed_on_matrix(matrix, source, injection, metric)
-                metric._record(span, result)
-            results.append(result)
-        return results
-    graph: TrustGraph = payload  # type: ignore[assignment]
-    return [metric.compute(graph, source, injection) for source in chunk]
+# -- multi-source sweeps -----------------------------------------------------
 
 
 def rank_many(
@@ -252,23 +204,15 @@ def rank_many(
     metric: Appleseed | None = None,
     injection: float = 200.0,
     engine: str = "auto",
-    runner: ParallelExperimentRunner | None = None,
 ) -> list[AppleseedResult]:
-    """Appleseed ranks for many sources over one shared packed matrix.
+    """Appleseed ranks for many sources, in source order.
 
-    Partition-by-source sharding: the source list is split into
-    contiguous chunks (:func:`~repro.perf.parallel.split_evenly`), each
-    worker ranks its chunk against the same read-only payload, and
-    results merge in submission order — the output is byte-identical
-    for any worker count, including the serial in-process path used
-    when *runner* is ``None``.
-
-    With ``engine="auto"`` the payload is the graph's packed
-    :class:`~repro.perf.trustmatrix.TrustMatrix`, and a metric with a
-    ``max_depth`` horizon slices each source's horizon out of it in the
-    worker; with ``"python"`` it is the graph itself and each worker runs
-    :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`,
-    the dict oracle.
+    With ``engine="auto"`` every source runs on the graph's one pack
+    (:func:`pack_graph`), and a metric with a ``max_depth`` horizon
+    slices each source's horizon out of it; the engine selection counts
+    once per call.  With ``"python"`` each source runs
+    :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`
+    on the dict oracle.
     """
     metric = metric or Appleseed()
     work = list(sources)
@@ -284,25 +228,19 @@ def rank_many(
         nodes=len(graph),
     ) as span:
         if resolved == "numpy":
-            state: tuple[str, object, dict[str, object], float] = (
-                "matrix",
-                pack_graph(graph),
-                _metric_settings(metric),
-                injection,
-            )
+            matrix = pack_graph(graph)
+            results: list[AppleseedResult] = []
+            for source in work:
+                # Same span + metrics contract as Appleseed.compute, so a
+                # sweep leaves the evidence a source-by-source loop would.
+                with metric._span(source, resolved) as source_span:
+                    result = appleseed_on_matrix(matrix, source, injection, metric)
+                    metric._record(source_span, result)
+                results.append(result)
         else:
-            settings = _metric_settings(metric)
-            settings["engine"] = engine
-            state = ("graph", graph, settings, injection)
-        if runner is None:
-            results = _rank_chunk(state, work)
-        else:
-            chunks = split_evenly(work, runner.effective_workers())
-            results = [
-                result
-                for chunk_results in runner.map(partial(_rank_chunk, state), chunks)
-                for result in chunk_results
-            ]
+            oracle = copy.copy(metric)
+            oracle.engine = "python"
+            results = [oracle.compute(graph, source, injection) for source in work]
         span.set("iterations", sum(result.iterations for result in results))
     metrics.counter("trust.rank_many.calls").inc()
     metrics.histogram("trust.rank_many.sources").observe(len(work))

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.similarity import check_engine, engine_path
-
 from .graph import TrustGraph
 
 __all__ = ["PersonalizedPageRank", "PageRankResult"]

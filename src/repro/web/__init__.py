@@ -1,5 +1,6 @@
 """Simulated decentralized Web: hosting, crawling, local replicas."""
 
+from .crawler import CrawlReport, Crawler, publish_community
 from .faults import (
     CircuitBreakerRegistry,
     FaultPlan,
@@ -12,7 +13,6 @@ from .faults import (
     site_of,
 )
 from .freshness import FreshnessPolicy, plan_refresh
-from .crawler import CrawlReport, Crawler, publish_community
 from .network import FetchResult, SimulatedWeb, WebError
 from .replicator import (
     CommunityReplicator,

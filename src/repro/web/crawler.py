@@ -22,8 +22,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from ..core.models import Dataset, clamp_score
-from ..obs import Stopwatch, get_metrics, get_tracer
 from ..core.taxonomy import Taxonomy
+from ..obs import Stopwatch, get_metrics, get_tracer
 from ..semweb.foaf import (
     parse_agent_homepage,
     publish_agent,

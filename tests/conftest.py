@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable
-from typing import TypeVar
-
 import pytest
 
 from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
 from repro.core.taxonomy import Taxonomy, figure1_fragment
 from repro.datasets.generators import CommunityConfig, generate_community
-
-Result = TypeVar("Result")
-
-#: Seconds a process-pool call may run before its test counts it stalled.
-POOL_TIMEOUT_S = 120.0
 
 
 @pytest.fixture
@@ -82,34 +73,3 @@ def small_community():
     """A generated 120-agent community, shared across the session."""
     config = CommunityConfig(n_agents=120, n_products=240, n_clusters=6, seed=11)
     return generate_community(config)
-
-
-@pytest.fixture
-def finishes() -> Callable[[Callable[[], Result]], Result]:
-    """Run a pool-starting call on a watchdog thread and return its result.
-
-    A stalled pool fails the test after :data:`POOL_TIMEOUT_S` instead of
-    holding the whole suite; exceptions from the call propagate as usual.
-    """
-
-    def run(call: Callable[[], Result]) -> Result:
-        results: list[Result] = []
-        errors: list[BaseException] = []
-
-        def target() -> None:
-            try:
-                results.append(call())
-            except BaseException as error:  # re-raised on the test thread
-                errors.append(error)
-
-        watchdog = threading.Thread(target=target, daemon=True)
-        watchdog.start()
-        watchdog.join(POOL_TIMEOUT_S)
-        assert not watchdog.is_alive(), (
-            f"process-pool work did not finish within {POOL_TIMEOUT_S:.0f} s"
-        )
-        if errors:
-            raise errors[0]
-        return results[0]
-
-    return run

@@ -262,7 +262,7 @@ class TestPropagation:
         assert effects_of(index, "m.outer") == {"mutates:global"}
         assert effects_of(index, "m.outermost") == {"mutates:global"}
 
-    def test_partial_and_dispatch_workers(self, tmp_path):
+    def test_partial_workers(self, tmp_path):
         index = build_index(
             tmp_path,
             {
@@ -276,14 +276,10 @@ class TestPropagation:
 
                     def via_partial(runner):
                         return runner(functools.partial(worker, "f"))
-
-                    def via_map(pool):
-                        return pool.map(worker, ["a", "b"])
                 """,
             },
         )
         assert effects_of(index, "m.via_partial") == {"mutates:global"}
-        assert effects_of(index, "m.via_map") == {"mutates:global"}
 
     def test_constructor_does_not_import_init_effects(self, tmp_path):
         index = build_index(

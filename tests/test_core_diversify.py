@@ -9,9 +9,9 @@ from repro.core.diversify import (
     intra_list_similarity,
     product_topic_profile,
 )
-from repro.core.similarity import isclose
 from repro.core.models import Product
 from repro.core.recommender import Recommendation
+from repro.core.similarity import isclose
 
 
 def _products() -> dict[str, Product]:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.similarity import isclose
 from repro.core.models import (
     Agent,
     Dataset,
@@ -19,6 +18,7 @@ from repro.core.models import (
     top_rated,
     validate_score,
 )
+from repro.core.similarity import isclose
 
 
 class TestValidateScore:

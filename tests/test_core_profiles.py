@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.similarity import isclose
 from repro.core.models import Product
 from repro.core.profiles import (
     DEFAULT_PROFILE_SCORE,
@@ -15,6 +14,7 @@ from repro.core.profiles import (
     flat_category_profile,
     product_profile,
 )
+from repro.core.similarity import isclose
 from repro.core.taxonomy import figure1_fragment
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
 from repro.datasets.generators import CommunityConfig, generate_community
@@ -14,7 +12,6 @@ from repro.evaluation.scenarios import (
     run_ex23_drift,
     smooth_degradation,
 )
-from repro.perf.parallel import ParallelExperimentRunner
 
 TINY = dict(per_user=2, min_ratings=6, max_users=6)
 
@@ -107,40 +104,16 @@ class TestEx23Drift:
 
 
 class TestEpochDeterminism:
-    """Same seed ⇒ byte-identical tables, any worker count, any rerun."""
+    """Same seed ⇒ byte-identical tables on every rerun."""
 
-    def render(self, community, runner):
+    def render(self, community):
         return run_ex20_churn(
             community=community,
             churn_rates=(0.1,),
             n_epochs=2,
             rounds=50,
-            runner=runner,
             **TINY,
         ).render()
 
     def test_repeated_runs_identical(self, community):
-        assert self.render(community, None) == self.render(community, None)
-
-    def test_parallel_matches_serial(self, community, finishes):
-        serial = self.render(community, None)
-        for workers in (2, 3):
-            runner = ParallelExperimentRunner(max_workers=workers, mode="process")
-            assert finishes(partial(self.render, community, runner)) == serial
-
-    def test_serial_runner_matches_none(self, community):
-        runner = ParallelExperimentRunner(mode="serial")
-        assert self.render(community, runner) == self.render(community, None)
-
-    def test_ex22_parallel_matches_serial(self, community, finishes):
-        kwargs = dict(
-            community=community,
-            bridge_rates=(1,),
-            n_epochs=2,
-            ring_growth=3,
-            **TINY,
-        )
-        serial = run_ex22_evolving_sybil(**kwargs).render()
-        runner = ParallelExperimentRunner(max_workers=2, mode="process")
-        parallel = finishes(lambda: run_ex22_evolving_sybil(runner=runner, **kwargs))
-        assert parallel.render() == serial
+        assert self.render(community) == self.render(community)

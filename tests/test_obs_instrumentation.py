@@ -9,10 +9,14 @@ report's ``fetched``, and two same-seed runs trace identically modulo
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.similarity import top_similar
 from repro.datasets.generators import CommunityConfig, generate_community
 from repro.obs import collecting, strip_durations, tracing
 from repro.trust.advogato import Advogato
 from repro.trust.appleseed import Appleseed
+from repro.trust.engine import rank_many
 from repro.trust.graph import TrustGraph
 from repro.web.crawler import Crawler, publish_community
 from repro.web.network import SimulatedWeb
@@ -62,6 +66,27 @@ class TestAppleseedTelemetry:
             result.iterations for result in results
         )
         assert registry.counter("appleseed.computations").value == len(sources)
+
+        # A rank_many sweep leaves the same per-source evidence under one
+        # span, one engine selection and at most one pack.
+        with tracing() as tracer, collecting() as registry:
+            swept = rank_many(graph, sources, metric=metric)
+        assert swept == results
+        records = tracer.records()
+        (sweep,) = [r for r in records if r["name"] == "trust.rank_many"]
+        computes = [r for r in records if r["name"] == "appleseed.compute"]
+        assert [r["attrs"]["source"] for r in computes] == sources
+        for record, result in zip(computes, swept):
+            assert record["parent"] == sweep["id"]
+            assert record["attrs"]["engine"] == "numpy"
+            assert record["attrs"]["iterations"] == result.iterations
+            assert record["attrs"]["network_size"] == len(result.ranks)
+        assert registry.counter("trust.engine.selected.numpy").value == 1
+        assert registry.counter("appleseed.computations").value == len(sources)
+        assert registry.counter("appleseed.sweeps").value == sum(
+            result.iterations for result in swept
+        )
+        assert registry.counter("trust.matrix.packs").value <= 1
 
     def test_iteration_cap_hit_is_counted(self):
         community = _small_community()
@@ -223,9 +248,13 @@ class TestEngineAndCacheTelemetry:
                     dataset=dataset, graph=graph, profiles=store, engine=engine
                 ).similarities(agent, peers)
                 Appleseed(engine=engine).compute(graph, agent)
+                # A limit of 0 ranks nothing, so it selects no engine.
+                assert top_similar({"a": 1.0}, {"b": {"a": 1.0}}, limit=0, engine=engine) == []
         for family in ("engine", "trust.engine"):
             for path in ("numpy", "python"):
                 assert registry.counter(f"{family}.selected.{path}").value == 1
+        with pytest.raises(ValueError):
+            top_similar({}, {}, limit=0, engine="numpy")
 
 
 class TestFetchTelemetry:

@@ -11,7 +11,6 @@ sources, all-negative edge sets, weight-zero statements.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -259,25 +258,10 @@ class TestResolver:
                     api(engine=engine)
 
 
-# -- sharded sweeps ----------------------------------------------------------
+# -- multi-source sweeps -----------------------------------------------------
 
 
 class TestRankMany:
-    def test_identical_across_worker_counts(self, finishes):
-        """Serial and 1/2/8-worker sharded sweeps return equal results."""
-        from repro.perf.parallel import ParallelExperimentRunner
-
-        graph = _dense_graph()
-        sources = sorted(graph.nodes())[:24]
-        serial = rank_many(graph, sources, engine="auto")
-        assert [r.source for r in serial] == sources
-        for workers in (1, 2, 8):
-            runner = ParallelExperimentRunner(max_workers=workers)
-            sharded = finishes(
-                partial(rank_many, graph, sources, engine="auto", runner=runner)
-            )
-            assert sharded == serial
-
     def test_numpy_sweep_matches_oracle_sweep(self):
         graph = _dense_graph()
         sources = sorted(graph.nodes())[:8]
