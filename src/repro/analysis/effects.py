@@ -217,11 +217,11 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
     ),
     CacheSpec(
         name="packed-matrix-lazy-fields",
-        backing=(),
-        caches=((_PROFILE_MATRIX, ("_dense_sq", "_topic_rows")),),
+        backing=(f"{_PROFILE_MATRIX}.indices", f"{_PROFILE_MATRIX}.entry_row"),
+        caches=((_PROFILE_MATRIX, ("_by_topic",)),),
         invalidate_hint=(
-            "ProfileMatrix is immutable after construction; its lazily "
-            "derived fields are coherent by construction"
+            "ProfileMatrix.splice, or drop its lazy topic index _by_topic "
+            "in the same call that rewrites the CSR entries"
         ),
     ),
 )

@@ -75,12 +75,15 @@ class ProfileStore:
 
     Centralizing the cache matters: experiments recompute similarities for
     thousands of agent pairs and profile construction dominates without it.
-    Call :meth:`invalidate` after mutating an agent's ratings.
+    Call :meth:`invalidate` after mutating an agent's ratings or
+    membership: once the community matrix is packed, that rebuilds the
+    agent's profile and splices its one row in place, so a write costs
+    one profile build, not a repack.
 
     Both caches are plain attributes: the store serves one writer at a
     time (DESIGN.md's concurrency contract), so a fill is an ordinary
-    memo and :meth:`invalidate` drops the profile and the packed matrix
-    together in one call.
+    memo and :meth:`invalidate` updates the profile and the packed
+    matrix together in one call.
     """
 
     def __init__(self, dataset: Dataset, builder: TaxonomyProfileBuilder) -> None:
@@ -101,9 +104,10 @@ class ProfileStore:
     def matrix(self) -> "ProfileMatrix":
         """The whole community's profiles packed for the numpy engine.
 
-        Built lazily on first use (the one call that pays the full
-        O(community) profile construction) and dropped by
-        :meth:`invalidate`.
+        Packed on first use (the one call that pays the full
+        O(community) profile construction) and from then on kept current
+        by :meth:`invalidate`, so every later call is a memo read.  Only
+        ``invalidate()`` with no agent drops it.
         """
         matrix = self._matrix
         if matrix is not None:
@@ -118,16 +122,25 @@ class ProfileStore:
         return matrix
 
     def invalidate(self, agent: str | None = None) -> None:
-        """Drop cached profiles (one agent, or all when *agent* is None).
+        """Forget cached profiles: one *agent*'s, or all when it is None.
 
-        The packed matrix is dropped either way: its rows embed every
-        agent's profile, so any single stale row poisons it.
+        With no *agent* the packed matrix is dropped too.  For one
+        *agent* while a matrix is packed, the agent's profile is rebuilt
+        at once and its row spliced in place (inserted for a new agent,
+        deleted when it has left ``dataset.agents``); the matrix then
+        equals a fresh pack, and the next :meth:`matrix` call is a hit.
         """
-        self._matrix = None
         if agent is None:
             self._cache.clear()
-        else:
-            self._cache.pop(agent, None)
+            self._matrix = None
+            return
+        self._cache.pop(agent, None)
+        matrix = self._matrix
+        if matrix is None:
+            return
+        get_metrics().counter("similarity.matrix_cache.splice").inc()
+        member = agent in self.dataset.agents
+        matrix.splice(agent, self.profile(agent) if member else None)
 
 
 def _similarity_function(
@@ -313,11 +326,13 @@ class SemanticWebRecommender(Recommender):
         return _vote(self.dataset, weights, exclude, limit)
 
     def invalidate_cache(self, agent: str | None = None) -> None:
-        """Drop cached profiles (and the packed matrix) after mutation.
+        """Bring the profile store up to date after a dataset mutation.
 
         Long-lived agents keep ingesting ratings while serving queries;
         call this after every dataset mutation — for one *agent* when a
-        single rating arrived, with no argument after bulk changes.
+        single rating arrived or the agent joined or left, which splices
+        that agent's row of the packed matrix in place; with no argument
+        after bulk changes, which drops every profile and the matrix.
         """
         self.profiles.invalidate(agent)
 

@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core.recommender import Recommender
-from .metrics import mean, precision_at
-from .protocol import HoldoutSplit
+from .metrics import mean
+from .protocol import HoldoutSplit, per_user_scores
 
 __all__ = [
     "ComparisonResult",
@@ -238,20 +238,10 @@ def paired_scores(
     top_n: int = 10,
 ) -> tuple[list[float], list[float]]:
     """Per-user precision@N sequences for two recommenders on one split."""
-    first_scores: list[float] = []
-    second_scores: list[float] = []
-    for agent in split.test_users:
-        relevant = set(split.held_out[agent])
-        first_scores.append(
-            precision_at(
-                [r.product for r in first.recommend(agent, limit=top_n)], relevant
-            )
-        )
-        second_scores.append(
-            precision_at(
-                [r.product for r in second.recommend(agent, limit=top_n)], relevant
-            )
-        )
+    first_scores, second_scores = (
+        [precision for precision, _, _ in per_user_scores(recommender, split, top_n)]
+        for recommender in (first, second)
+    )
     return first_scores, second_scores
 
 

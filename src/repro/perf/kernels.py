@@ -17,21 +17,26 @@ The union-domain algebra: with ``n = |supp(t) ∪ supp(c)|``,
     cov   = t·c − Σt·Σc / n
     var_t = Σt² − (Σt)² / n        (and symmetrically for c)
 
-so one matrix-vector product per quantity replaces the per-pair Python
-loops.  Intersection-domain sums are masked through the counterpart's
-support mask, e.g. ``Σ_{k∈∩} t_k = mask_c · t``.
+where ``Σc``, ``Σc²`` and ``|supp(c)|`` are the matrix's precomputed row
+aggregates and ``t·c`` runs over the shared keys only.  Intersection-domain
+sums run over the shared keys alone, e.g. ``Σ_{k∈∩} t_k``.  Every such
+sum is one ``np.bincount`` over the candidate rows' entries that the
+target also holds, gathered row after row, so each row sums in its own
+entry order: a row's score does not depend on which columns its topics
+were given, nor on which other rows are scored with it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.similarity import MIN_INTERSECTION
 from ..obs import get_metrics
 from .matrix import ProfileMatrix
+from .trustmatrix import _row_positions
 
 __all__ = [
     "community_scores",
@@ -47,16 +52,16 @@ __all__ = [
 def _target_stats(
     target: Mapping[str, float], matrix: ProfileMatrix
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Vectorize *target* into the matrix's column space.
+    """Scatter *target* over the matrix's columns.
 
-    Returns ``(values, mask, support, total, sumsq)``.  Coordinates whose
+    Returns ``(values, held, support, total, sumsq)``.  Coordinates whose
     topic the matrix has no column for still count toward the target's
     own support/total/sumsq (they belong to every union domain and to the
     target's own norm) but can never overlap a candidate.
     """
     width = matrix.width
     values = np.zeros(width)
-    mask = np.zeros(width)
+    held = np.zeros(width, dtype=bool)
     support = 0
     total = 0.0
     sumsq = 0.0
@@ -68,19 +73,39 @@ def _target_stats(
         col = matrix.vocabulary.index_of(topic)
         if col is not None and col < width:
             values[col] = value
-            mask[col] = 1.0
-    return values, mask, support, total, sumsq
+            held[col] = True
+    return values, held, support, total, sumsq
 
 
-def _select(
-    matrix: ProfileMatrix, rows: np.ndarray | None, squared: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sliced views of the matrix arrays the kernels consume."""
-    dense = matrix.dense_sq if squared else matrix.dense
-    mask = matrix.mask
+def _shared(
+    matrix: ProfileMatrix,
+    rows: np.ndarray | None,
+    values: np.ndarray,
+    held: np.ndarray,
+) -> tuple[Callable[..., np.ndarray], np.ndarray, np.ndarray]:
+    """The selected rows' entries on keys the target holds.
+
+    Returns ``(per_row, theirs, mine)``: the candidates' values and the
+    target's values on those entries, and ``per_row(weights)``, which
+    sums weights aligned with them per selected row (counts without
+    weights).  Entries stay in row order, each row's in its entry order.
+    """
+    positions: np.ndarray | None = None
     if rows is None:
-        return dense, mask
-    return dense[rows], mask[rows]
+        columns, slots, selected = matrix.indices, matrix.entry_row, len(matrix)
+    else:
+        positions, lengths = _row_positions(matrix.indptr, rows)
+        columns = matrix.indices[positions]
+        slots = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
+        selected = rows.size
+    keep = np.flatnonzero(held[columns])
+    slot = slots[keep]
+
+    def per_row(weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(slot, weights=weights, minlength=selected)
+
+    theirs = matrix.values[keep if positions is None else positions[keep]]
+    return per_row, theirs, values[columns[keep]]
 
 
 def _finish(out: np.ndarray) -> np.ndarray:
@@ -102,25 +127,25 @@ def pearson_many(
     """
     if domain not in ("union", "intersection"):
         raise ValueError(f"unknown domain {domain!r}")
-    values, tmask, t_support, t_total, t_sumsq = _target_stats(target, matrix)
-    dense, mask = _select(matrix, rows)
-    dot = dense @ values
+    values, held, t_support, t_total, t_sumsq = _target_stats(target, matrix)
+    per_row, theirs, mine = _shared(matrix, rows, values, held)
+    shared = per_row()
+    dot = per_row(theirs * mine)
     if domain == "union":
         support = matrix.support if rows is None else matrix.support[rows]
         totals = matrix.row_sum if rows is None else matrix.row_sum[rows]
         sumsqs = matrix.row_sumsq if rows is None else matrix.row_sumsq[rows]
-        n = t_support + support - mask @ tmask
+        n = t_support + support - shared
         minimum = 1.0  # an empty union is the only degenerate count
         t_sum, c_sum = t_total, totals
         t_sq, c_sq = t_sumsq, sumsqs
     else:
-        dense_sq, _ = _select(matrix, rows, squared=True)
-        n = mask @ tmask
+        n = shared
         minimum = float(MIN_INTERSECTION)
-        t_sum = mask @ values
-        c_sum = dense @ tmask
-        t_sq = mask @ (values * values)
-        c_sq = dense_sq @ tmask
+        t_sum = per_row(mine)
+        c_sum = per_row(theirs)
+        t_sq = per_row(mine * mine)
+        c_sq = per_row(theirs * theirs)
     safe_n = np.where(n >= minimum, n, 1.0)
     cov = dot - t_sum * c_sum / safe_n
     var_t = t_sq - t_sum * t_sum / safe_n
@@ -129,7 +154,7 @@ def pearson_many(
     # tiny variances can underflow even when both are representable.
     denominator = np.sqrt(np.maximum(var_t, 0.0)) * np.sqrt(np.maximum(var_c, 0.0))
     valid = (n >= minimum) & (var_t > 0.0) & (var_c > 0.0) & (denominator > 0.0)
-    out = np.zeros(dense.shape[0])
+    out = np.zeros(dot.size)
     out[valid] = cov[valid] / denominator[valid]
     return _finish(out)
 
@@ -147,22 +172,21 @@ def cosine_many(
     """
     if domain not in ("union", "intersection"):
         raise ValueError(f"unknown domain {domain!r}")
-    values, tmask, t_support, _, t_sumsq = _target_stats(target, matrix)
-    dense, mask = _select(matrix, rows)
+    values, held, t_support, _, t_sumsq = _target_stats(target, matrix)
+    per_row, theirs, mine = _shared(matrix, rows, values, held)
+    dot = per_row(theirs * mine)
     if t_support == 0:
-        return np.zeros(dense.shape[0])
-    dot = dense @ values
+        return np.zeros(dot.size)
     if domain == "union":
         support = matrix.support if rows is None else matrix.support[rows]
         norms = matrix.row_norm if rows is None else matrix.row_norm[rows]
         denominator = np.sqrt(t_sumsq) * norms
         valid = (support > 0) & (denominator > 0.0)
     else:
-        dense_sq, _ = _select(matrix, rows, squared=True)
-        n = mask @ tmask
-        denominator = np.sqrt(mask @ (values * values)) * np.sqrt(dense_sq @ tmask)
+        n = per_row()
+        denominator = np.sqrt(per_row(mine * mine)) * np.sqrt(per_row(theirs * theirs))
         valid = (n >= MIN_INTERSECTION) & (denominator > 0.0)
-    out = np.zeros(dense.shape[0])
+    out = np.zeros(dot.size)
     out[valid] = dot[valid] / denominator[valid]
     return _finish(out)
 

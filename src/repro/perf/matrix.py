@@ -4,34 +4,35 @@ The pure-Python similarity path (:mod:`repro.core.similarity`) computes
 Pearson/cosine one ``dict`` pair at a time — O(|profile|) hashing per
 pair, re-done for every principal.  At community scale (§2's
 "computational complexity" research issue) the same work phrases as a
-handful of matrix-vector products over a packed representation:
+handful of per-row sums over a packed representation:
 
-* :class:`TopicVocabulary` interns topic identifiers into dense column
+* :class:`TopicVocabulary` interns topic identifiers into column
   indices, shared across matrices so profiles from different sources
   line up;
-* :class:`ProfileMatrix` packs one community's sparse profiles into a
-  dense float64 matrix plus a *support mask*, with row sums, squared
-  sums, norms and support sizes precomputed once, and an inverted
-  topic→rows index used to prune zero-overlap candidates before any
-  kernel runs.
+* :class:`ProfileMatrix` packs one community's sparse profiles as CSR
+  rows named as in :class:`~repro.perf.trustmatrix.TrustMatrix`, with
+  row sums, squared sums, norms and support sizes precomputed, and a
+  lazy inverted topic index used to prune zero-overlap candidates
+  before any kernel runs.
 
-The mask records *key presence*, not non-zero value: a profile may carry
-an explicit ``0.0`` score, which counts toward the union/intersection
-domains of :mod:`repro.core.similarity` but contributes nothing to dot
-products.  Keeping presence separate is what lets the vectorized kernels
-reproduce the dict-based oracle exactly.
+An entry records *key presence*, not a non-zero value: a profile may
+carry an explicit ``0.0`` score, which counts toward the
+union/intersection domains of :mod:`repro.core.similarity` but
+contributes nothing to dot products.  Keeping those entries is what lets
+the vectorized kernels reproduce the dict-based oracle exactly.
 
-Dense storage is deliberate at the community sizes the experiments run
-(hundreds to low thousands of agents, taxonomy vocabularies of a few
-thousand topics): BLAS-backed matmuls beat scipy-free CSR emulation, and
-the support mask plays the CSR indptr/indices role for domain
-bookkeeping.  The cost grows faster than the community, though: a
-dense-plus-mask pack measured 52 MB at 910 agents and 253 MB at 2,275,
-and would need about 2.6 GB at the paper's 9,100 (ROADMAP item 3).
+Each row keeps its entries in its profile's dict order and every per-row
+sum, here and in :mod:`repro.perf.kernels`, runs in that order.  A row's
+numbers therefore do not depend on which columns its topics were given,
+so :meth:`ProfileMatrix.splice` can replace one row in place and leave a
+matrix that scores bit for bit like a fresh pack of the same profiles.
+Storage tracks the entries, not the vocabulary: at §4.1's scale (9,100
+agents over 17,707 used topics) that is 1.24M entries.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,39 +79,57 @@ class TopicVocabulary:
         return list(self._index)
 
 
+def _splice(array: np.ndarray, start: int, stop: int, middle: np.ndarray) -> np.ndarray:
+    """A copy of *array* with ``[start:stop]`` replaced by *middle*."""
+    return np.concatenate((array[:start], middle, array[stop:]))
+
+
 class ProfileMatrix:
-    """One community's sparse profiles packed into dense numpy arrays.
+    """One community's sparse profiles packed as CSR rows.
 
     Rows follow ``ids`` (sorted identifier order by default, for
-    determinism); columns follow the vocabulary's intern order.  All
-    per-row aggregates the similarity kernels need are precomputed here
-    so repeated ``*_many`` calls against the same community do no
-    per-profile Python work at all.
+    determinism).  Row *i*'s entries sit at ``indptr[i]:indptr[i + 1]``
+    of ``indices`` (vocabulary columns) and ``values``, in its profile's
+    dict order; ``entry_row`` names each entry's row, the scatter side
+    of every per-row bincount.  ``support`` (key count, presence not
+    non-zero), ``row_sum``, ``row_sumsq`` and ``row_norm`` are the
+    per-row aggregates the kernels need, so repeated ``*_many`` calls
+    against the same community do no per-profile Python work at all.
     """
 
     def __init__(
         self,
         ids: Sequence[str],
         vocabulary: TopicVocabulary,
-        dense: np.ndarray,
-        mask: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        values: np.ndarray,
     ) -> None:
         self.ids: list[str] = list(ids)
         self.vocabulary = vocabulary
-        self.dense = dense
-        self.mask = mask
+        #: Columns this matrix can hold (may trail a shared, still-growing
+        #: vocabulary); a target topic at or past it overlaps no row.
+        self.width = len(vocabulary)
+        self.indptr = indptr
+        self.indices = indices
+        self.values = values
         self._row_of = {identifier: i for i, identifier in enumerate(self.ids)}
         if len(self._row_of) != len(self.ids):
             raise ValueError("profile identifiers must be unique")
-        # Per-row aggregates over each profile's own coordinates.
-        self.support = mask.sum(axis=1)  # key count (presence, not non-zero)
-        self.row_sum = dense.sum(axis=1)
-        self.row_sumsq = (dense * dense).sum(axis=1)
+        # entry_row is the scatter side of the bincounts, which add each
+        # row's entries in entry order: a row's aggregates are the same
+        # whether it is packed alone or with others.
+        rows = len(self.ids)
+        self.entry_row = np.repeat(np.arange(rows, dtype=np.int64), np.diff(indptr))
+        self.support = np.bincount(self.entry_row, minlength=rows)
+        self.row_sum = np.bincount(self.entry_row, weights=values, minlength=rows)
+        self.row_sumsq = np.bincount(
+            self.entry_row, weights=values * values, minlength=rows
+        )
         self.row_norm = np.sqrt(self.row_sumsq)
-        # Lazy derived views, built on first use; the matrix never
-        # changes after construction, so they never go stale.
-        self._dense_sq: np.ndarray | None = None
-        self._topic_rows: list[np.ndarray] | None = None
+        # The inverted topic index, built on first use and dropped by
+        # every splice: entry columns ascending, with each entry's row.
+        self._by_topic: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -129,16 +148,61 @@ class ProfileMatrix:
         """
         row_ids = sorted(profiles) if ids is None else list(ids)
         vocab = vocabulary if vocabulary is not None else TopicVocabulary()
-        entries: list[tuple[int, int, float]] = []
-        for row, identifier in enumerate(row_ids):
-            for topic, value in profiles[identifier].items():
-                entries.append((row, vocab.intern(topic), float(value)))
-        dense = np.zeros((len(row_ids), len(vocab)))
-        mask = np.zeros((len(row_ids), len(vocab)))
-        for row, col, value in entries:
-            dense[row, col] = value
-            mask[row, col] = 1.0
-        return cls(row_ids, vocab, dense, mask)
+        rows = [profiles[identifier] for identifier in row_ids]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(profile) for profile in rows])
+        total = int(indptr[-1])
+        indices = np.fromiter(
+            (vocab.intern(topic) for profile in rows for topic in profile),
+            dtype=np.int64,
+            count=total,
+        )
+        values = np.fromiter(
+            (value for profile in rows for value in profile.values()),
+            dtype=np.float64,
+            count=total,
+        )
+        return cls(row_ids, vocab, indptr, indices, values)
+
+    def splice(self, identifier: str, profile: Mapping[str, float] | None) -> None:
+        """Make *identifier*'s row hold *profile*, in place.
+
+        The row is replaced when present and inserted at its sorted
+        position when not; ``None`` deletes it (a no-op without one).
+        Topics new to the vocabulary are interned.  The work is one
+        O(entries) copy of the arrays, and the matrix afterwards holds
+        the ids, entries and aggregates a fresh pack of the same
+        profiles would; only column numbers may differ.
+        """
+        row = self._row_of.get(identifier)
+        old = 0 if row is None else 1
+        new = 0 if profile is None else 1
+        if not old and not new:
+            return
+        if row is None:
+            row = bisect.bisect_left(self.ids, identifier)
+        lo, hi = int(self.indptr[row]), int(self.indptr[row + old])
+        part = ProfileMatrix.from_profiles(
+            {} if profile is None else {identifier: profile}, self.vocabulary
+        )
+        shift = part.nnz - (hi - lo)
+        self.width = len(self.vocabulary)
+        self.indptr = _splice(self.indptr, row + 1, row + 1 + old, part.indptr[1:] + lo)
+        self.indptr[row + 1 + new :] += shift
+        self.indices = _splice(self.indices, lo, hi, part.indices)
+        self.values = _splice(self.values, lo, hi, part.values)
+        self.entry_row = _splice(self.entry_row, lo, hi, part.entry_row + row)
+        self.entry_row[hi + shift :] += new - old
+        self.support = _splice(self.support, row, row + old, part.support)
+        self.row_sum = _splice(self.row_sum, row, row + old, part.row_sum)
+        self.row_sumsq = _splice(self.row_sumsq, row, row + old, part.row_sumsq)
+        self.row_norm = _splice(self.row_norm, row, row + old, part.row_norm)
+        self.ids[row : row + old] = [identifier] * new
+        if old != new:
+            self._row_of.pop(identifier, None)
+            for i in range(row, len(self.ids)):
+                self._row_of[self.ids[i]] = i
+        self._by_topic = None
 
     # -- shape and lookups ----------------------------------------------------
 
@@ -146,9 +210,9 @@ class ProfileMatrix:
         return len(self.ids)
 
     @property
-    def width(self) -> int:
-        """Number of columns (may trail a shared, still-growing vocabulary)."""
-        return self.dense.shape[1]
+    def nnz(self) -> int:
+        """Number of packed entries."""
+        return int(self.indices.size)
 
     def row_index(self, identifier: str) -> int:
         """Row of *identifier*; raises :class:`KeyError` when absent."""
@@ -160,25 +224,15 @@ class ProfileMatrix:
             [self._row_of[identifier] for identifier in identifiers], dtype=np.intp
         )
 
-    @property
-    def dense_sq(self) -> np.ndarray:
-        """Elementwise square of the value matrix (lazy, cached).
-
-        Needed by intersection-domain kernels, whose norms/variances run
-        over co-rated coordinates only.
-        """
-        if self._dense_sq is None:
-            self._dense_sq = self.dense * self.dense
-        return self._dense_sq
-
     # -- inverted index -------------------------------------------------------
 
-    def _inverted_index(self) -> list[np.ndarray]:
-        if self._topic_rows is None:
-            self._topic_rows = [
-                np.flatnonzero(self.mask[:, col]) for col in range(self.width)
-            ]
-        return self._topic_rows
+    def _topic_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entry columns in ascending order and each entry's row: one
+        stable argsort by column, kept until the next splice."""
+        if self._by_topic is None:
+            order = np.argsort(self.indices, kind="stable")
+            self._by_topic = (self.indices[order], self.entry_row[order])
+        return self._by_topic
 
     def overlapping_rows(self, profile: Mapping[str, float]) -> np.ndarray:
         """Rows whose support shares at least one key with *profile*.
@@ -188,13 +242,18 @@ class ProfileMatrix:
         domain, intersection-domain Pearson), only these rows need a
         kernel evaluation.
         """
-        index = self._inverted_index()
-        cols = [
-            col
-            for topic in profile
-            if (col := self.vocabulary.index_of(topic)) is not None
-            and col < self.width
-        ]
-        if not cols:
+        columns, rows = self._topic_index()
+        cols = np.array(
+            [
+                col
+                for topic in profile
+                if (col := self.vocabulary.index_of(topic)) is not None
+            ],
+            dtype=np.int64,
+        )
+        starts = np.searchsorted(columns, cols, side="left").tolist()
+        ends = np.searchsorted(columns, cols, side="right").tolist()
+        hits = [rows[start:end] for start, end in zip(starts, ends) if end > start]
+        if not hits:
             return np.empty(0, dtype=np.intp)
-        return np.unique(np.concatenate([index[col] for col in cols]))
+        return np.unique(np.concatenate(hits))

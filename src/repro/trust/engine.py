@@ -20,7 +20,6 @@ one.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 
 from ..core.similarity import engine_path
@@ -209,10 +208,13 @@ def rank_many(
 
     With ``engine="auto"`` every source runs on the graph's one pack
     (:func:`pack_graph`), and a metric with a ``max_depth`` horizon
-    slices each source's horizon out of it; the engine selection counts
-    once per call.  With ``"python"`` each source runs
+    slices each source's horizon out of it.  With ``"python"`` each
+    source runs the dict oracle on the graph, or on its
+    ``within_horizon`` sub-graph when the metric has a ``max_depth``.
+    Either way the engine selection counts once per call, and each
+    source gets the ``appleseed.compute`` span and metrics
     :meth:`Appleseed.compute <repro.trust.appleseed.Appleseed.compute>`
-    on the dict oracle.
+    would give it.
     """
     metric = metric or Appleseed()
     work = list(sources)
@@ -227,20 +229,21 @@ def rank_many(
         engine=resolved,
         nodes=len(graph),
     ) as span:
-        if resolved == "numpy":
-            matrix = pack_graph(graph)
-            results: list[AppleseedResult] = []
-            for source in work:
-                # Same span + metrics contract as Appleseed.compute, so a
-                # sweep leaves the evidence a source-by-source loop would.
-                with metric._span(source, resolved) as source_span:
+        matrix = pack_graph(graph) if resolved == "numpy" else None
+        results: list[AppleseedResult] = []
+        for source in work:
+            # Same span + metrics contract as Appleseed.compute, so a
+            # sweep leaves the evidence a source-by-source loop would.
+            with metric._span(source, resolved) as source_span:
+                if matrix is not None:
                     result = appleseed_on_matrix(matrix, source, injection, metric)
-                    metric._record(source_span, result)
-                results.append(result)
-        else:
-            oracle = copy.copy(metric)
-            oracle.engine = "python"
-            results = [oracle.compute(graph, source, injection) for source in work]
+                else:
+                    horizon = graph
+                    if metric.max_depth is not None:
+                        horizon = graph.within_horizon(source, metric.max_depth)
+                    result = metric._compute_python(horizon, source, injection)
+                metric._record(source_span, result)
+            results.append(result)
         span.set("iterations", sum(result.iterations for result in results))
     metrics.counter("trust.rank_many.calls").inc()
     metrics.histogram("trust.rank_many.sources").observe(len(work))

@@ -1,4 +1,5 @@
-"""Differential tests for the indexes behind ``Dataset`` and ``TrustGraph``.
+"""Differential tests for the indexes behind ``Dataset``, ``TrustGraph``
+and ``ProfileStore``.
 
 ``Dataset`` answers ``ratings_of`` / ``trust_of`` / ``raters_of`` from
 per-agent, per-source and per-product index dicts, and ``TrustGraph``
@@ -8,7 +9,9 @@ caches over the plain maps, so both are checked against a brute-force
 rebuild after every step of a random interleaving of the mutation paths
 the repository uses.  Bounded Appleseed slices its horizon out of that
 cached pack, so the slice is checked the same way, against packing the
-``within_horizon`` sub-graph.
+``within_horizon`` sub-graph.  ``ProfileStore`` keeps its packed
+``ProfileMatrix`` across writes by splicing the written agent's row, so
+it is checked against a fresh store's pack after every write.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
+from repro.core.profiles import TaxonomyProfileBuilder
+from repro.core.recommender import ProfileStore
+from repro.core.taxonomy import Taxonomy
 from repro.obs import MetricsRegistry, collecting
+from repro.perf.kernels import similarity_many
+from repro.perf.matrix import ProfileMatrix
 from repro.perf.trustmatrix import TrustMatrix, horizon_slice
 from repro.trust.engine import pack_graph
 from repro.trust.graph import TrustGraph
@@ -300,3 +308,111 @@ def test_positive_successors_follow_every_edge_write(steps):
                 if weight > 0.0
             }
             assert graph.positive_successors(node) is view
+
+
+# -- the packed profile matrix ------------------------------------------------
+
+_MEMBERS = [f"http://profile.example.org/a{i}" for i in range(6)]
+_member = st.sampled_from(_MEMBERS)
+#: Leaf topics; each product is classified under one or two of them.
+_LEAVES = {"t0": ["t0a", "t0b"], "t1": ["t1a"], "t2": ["t2a", "t2b"]}
+_CLASSES = [("t0a",), ("t0b", "t1a"), ("t2a",), ("t2b",), ("t1a",), ("t0a", "t2b")]
+_SHELF = [f"isbn:p{i}" for i in range(len(_CLASSES))]
+_shelf = st.sampled_from(_SHELF)
+_score = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+_profile_steps = st.one_of(
+    st.tuples(st.just("add_rating"), _member, _shelf, _score),
+    st.tuples(st.just("remove_rating"), _member, _shelf),
+    st.tuples(st.just("add_agent"), _member),
+    st.tuples(st.just("remove_agent"), _member),
+    st.tuples(st.just("add_trust"), _member, _member, _score),
+)
+
+
+def _builder() -> TaxonomyProfileBuilder:
+    taxonomy = Taxonomy("books")
+    for branch, leaves in _LEAVES.items():
+        taxonomy.add_topic(branch, "books")
+        for leaf in leaves:
+            taxonomy.add_topic(leaf, branch)
+    # Signed, rating-weighted profiles: every drawn value shapes the row,
+    # and opposite ratings on one topic leave explicit 0.0 entries.
+    return TaxonomyProfileBuilder(
+        taxonomy, product_weighting="rating", negative_mode="signed"
+    )
+
+
+def _write(dataset: Dataset, step: tuple) -> str:
+    """Apply one write; returns the agent whose profile it may change."""
+    kind, agent = step[0], step[1]
+    if kind == "add_rating":
+        dataset.add_rating(Rating(agent=agent, product=step[2], value=step[3]))
+    elif kind == "remove_rating" and (agent, step[2]) in dataset.ratings:
+        dataset.remove_rating(agent, step[2])
+    elif kind == "add_agent":
+        dataset.add_agent(Agent(uri=agent))
+    elif kind == "remove_agent" and agent in dataset.agents:
+        dataset.remove_agent(agent)
+    elif kind == "add_trust" and agent != step[2]:
+        dataset.add_trust(TrustStatement(source=agent, target=step[2], value=step[3]))
+    return agent
+
+
+def _rows(matrix: ProfileMatrix) -> list[list[tuple[str, float]]]:
+    """Each row's ``(topic, value)`` entries, in entry order."""
+    topics = matrix.vocabulary.topics
+    bounds = zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())
+    return [
+        [
+            (topics[col], value)
+            for col, value in zip(
+                matrix.indices[lo:hi].tolist(), matrix.values[lo:hi].tolist()
+            )
+        ]
+        for lo, hi in bounds
+    ]
+
+
+def _assert_same_profiles(
+    mine: ProfileMatrix, fresh: ProfileMatrix, target: dict[str, float]
+) -> None:
+    assert mine.ids == fresh.ids
+    assert _rows(mine) == _rows(fresh)
+    for name in ("entry_row", "support", "row_sum", "row_sumsq", "row_norm"):
+        assert np.array_equal(getattr(mine, name), getattr(fresh, name)), name
+    for measure in ("pearson", "cosine"):
+        for domain in ("union", "intersection"):
+            assert np.array_equal(
+                similarity_many(target, mine, measure=measure, domain=domain),
+                similarity_many(target, fresh, measure=measure, domain=domain),
+            ), (measure, domain)
+    assert {mine.ids[i] for i in mine.overlapping_rows(target)} == {
+        fresh.ids[i] for i in fresh.overlapping_rows(target)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.sets(_member, min_size=1),
+    ratings=st.lists(st.tuples(_member, _shelf, _score), max_size=8),
+    steps=st.lists(st.tuples(_profile_steps, _member), max_size=20),
+)
+def test_profile_matrix_equals_a_fresh_pack_after_every_step(members, ratings, steps):
+    """A write and ``invalidate(agent)`` splice one row; the packed matrix
+    then equals a fresh store's pack row for row and scores bit for bit
+    alike, whatever columns its new topics were given."""
+    dataset = Dataset()
+    for uri in sorted(members):
+        dataset.add_agent(Agent(uri=uri))
+    for identifier, topics in zip(_SHELF, _CLASSES):
+        dataset.add_product(Product(identifier=identifier, descriptors=frozenset(topics)))
+    for agent, product, value in ratings:
+        dataset.add_rating(Rating(agent=agent, product=product, value=value))
+    builder = _builder()
+    store = ProfileStore(dataset, builder)
+    packed = store.matrix()
+    for step, target in steps:
+        store.invalidate(_write(dataset, step))
+        assert store.matrix() is packed
+        fresh = ProfileStore(dataset, builder)
+        _assert_same_profiles(packed, fresh.matrix(), fresh.profile(target))

@@ -88,6 +88,19 @@ class TestAppleseedTelemetry:
         )
         assert registry.counter("trust.matrix.packs").value <= 1
 
+        # The oracle sweep counts its engine selection once too, with the
+        # per-source spans and results of one oracle computation each.
+        python = Appleseed(engine="python")
+        expected = [python.compute(graph, source) for source in sources]
+        with tracing() as tracer, collecting() as registry:
+            oracle = rank_many(graph, sources, metric=metric, engine="python")
+        assert oracle == expected
+        computes = [r for r in tracer.records() if r["name"] == "appleseed.compute"]
+        assert [r["attrs"]["source"] for r in computes] == sources
+        assert all(r["attrs"]["engine"] == "python" for r in computes)
+        assert registry.counter("trust.engine.selected.python").value == 1
+        assert registry.counter("appleseed.computations").value == len(sources)
+
     def test_iteration_cap_hit_is_counted(self):
         community = _small_community()
         graph, source = _graph_and_source(community)
@@ -223,13 +236,20 @@ class TestEngineAndCacheTelemetry:
         store = ProfileStore(
             community.dataset, TaxonomyProfileBuilder(community.taxonomy)
         )
+        kinds = ("splice", "miss", "hit")
         with collecting() as registry:
             store.matrix()
             store.matrix()
             store.invalidate()
             store.matrix()
-        assert registry.counter("similarity.matrix_cache.miss").value == 2
-        assert registry.counter("similarity.matrix_cache.hit").value == 1
+            before = [registry.counter(f"similarity.matrix_cache.{k}").value for k in kinds]
+            # One agent's invalidation splices its row in place: no miss,
+            # and the next read is a hit.
+            store.invalidate(sorted(community.dataset.agents)[0])
+            store.matrix()
+            after = [registry.counter(f"similarity.matrix_cache.{k}").value for k in kinds]
+        assert before == [0, 2, 1]
+        assert after == [1, 2, 2]
 
     def test_engine_selection_counter(self):
         """Each computation counts the path it took, once."""

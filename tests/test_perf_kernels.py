@@ -282,16 +282,29 @@ class TestProfileMatrix:
         )
         assert first.width == 1  # built before "y" existed; stays consistent
         assert second.width == 2
-        assert second.dense[0, vocab.index_of("x")] == 3.0
+        row = dict(zip(second.indices.tolist(), second.values.tolist()))
+        assert row[vocab.index_of("x")] == 3.0
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            ProfileMatrix(
-                ["a", "a"],
-                TopicVocabulary(["t"]),
-                np.zeros((2, 1)),
-                np.zeros((2, 1)),
-            )
+            ProfileMatrix.from_profiles({"a": {"t": 1.0}}, ids=["a", "a"])
+
+    def test_storage_tracks_entries_not_the_vocabulary(self):
+        vocab = TopicVocabulary(f"t{i}" for i in range(100_000))
+        matrix = ProfileMatrix.from_profiles(
+            {"a": {"t1": 1.0, "t99999": 2.0}, "b": {"t5": 0.5}}, vocabulary=vocab
+        )
+        assert matrix.width == 100_000
+        assert [matrix.ids[i] for i in matrix.overlapping_rows({"t5": 1.0})] == ["b"]
+        # Every array held, the lazy topic index included: a few per
+        # entry or row, where two dense rows would take 1.6 MB.
+        held = [
+            array
+            for value in vars(matrix).values()
+            for array in (value if isinstance(value, tuple) else (value,))
+            if isinstance(array, np.ndarray)
+        ]
+        assert sum(array.nbytes for array in held) < 1_000
 
     def test_overlapping_rows(self):
         matrix = ProfileMatrix.from_profiles(

@@ -78,16 +78,38 @@ class TestProfileStoreInvalidate:
             dataset.remove_rating(agent, product)
             store.invalidate(agent)
 
-    def test_matrix_cached_and_dropped_on_any_invalidation(
-        self, small_community, store
-    ):
+    def test_single_agent_invalidation_splices_the_row(self, small_community, store):
+        dataset = small_community.dataset
+        agent = sorted(dataset.agents)[0]
+        product = sorted(dataset.products)[0]
         matrix = store.matrix()
         assert store.matrix() is matrix
-        store.invalidate(sorted(small_community.dataset.agents)[0])
-        rebuilt = store.matrix()
-        assert rebuilt is not matrix
+        before = store.profile(agent)
+
+        def row_items():
+            row = matrix.row_index(agent)
+            lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+            topics = matrix.vocabulary.topics
+            columns, values = matrix.indices[lo:hi].tolist(), matrix.values[lo:hi].tolist()
+            return [(topics[col], value) for col, value in zip(columns, values)]
+
+        dataset.add_rating(Rating(agent=agent, product=product, value=1.0))
+        try:
+            store.invalidate(agent)
+            assert store.matrix() is matrix  # spliced in place, not repacked
+            assert store.profile(agent) != before
+            assert row_items() == list(store.profile(agent).items())
+            fresh = ProfileStore(dataset, store.builder).matrix()
+            assert matrix.ids == fresh.ids
+            assert matrix.row_sum[matrix.row_index(agent)] == fresh.row_sum[
+                fresh.row_index(agent)
+            ]
+        finally:
+            dataset.remove_rating(agent, product)
+            store.invalidate(agent)
+        assert row_items() == list(before.items())
         store.invalidate()
-        assert store.matrix() is not rebuilt
+        assert store.matrix() is not matrix
 
 
 class TestEngineEquivalence:
