@@ -15,8 +15,8 @@ A decentralized, trust-aware, taxonomy-driven recommender framework:
 * :mod:`repro.evaluation` — metrics, protocols, attack models and the
   EX1–EX11 experiment suite (see DESIGN.md / EXPERIMENTS.md).
 * :mod:`repro.analysis` — reprolint, the domain-aware static-analysis
-  pass holding the §3.1 range and determinism invariants
-  (``repro lint``; see docs/ANALYSIS.md).
+  pass holding the §3.1 range and determinism invariants; the test
+  suite runs it over the whole tree (see docs/ANALYSIS.md).
 
 Quickstart::
 

@@ -8,9 +8,9 @@ and the test suite enforce most of that at runtime; this package keeps
 the five static checks that each caught a real defect or alone guard a
 standing invariant (``docs/ANALYSIS.md`` gives the record):
 
-* :mod:`repro.analysis.engine` — the rule registry, per-file AST visitor,
-  ``# reprolint: disable=RLxxx`` suppression handling, and JSON/human
-  output formatting.
+* :mod:`repro.analysis.engine` — the rule base classes and
+  :func:`lint_project`, which parses every file once and runs the
+  per-file and whole-program rules over it.
 * :mod:`repro.analysis.rules` — the per-file rules ``RL001`` (unseeded
   randomness), ``RL002`` (exact float comparison on scores) and
   ``RL005`` (unsorted set iteration), plus the registry of graph rules.
@@ -24,7 +24,8 @@ standing invariant (``docs/ANALYSIS.md`` gives the record):
   store into a registered cache field counts as a memo fill, not an
   effect, unless the same function writes the cache's backing state.
 
-Run it as ``repro lint <paths>`` or ``python -m repro.analysis <paths>``.
+The tier-1 suite runs every rule over ``src tests benchmarks examples``
+(``tests/test_analysis_graph.py::TestSelfCheck``); that test is the gate.
 """
 
 from __future__ import annotations
@@ -36,19 +37,8 @@ from .effects import (
     EffectAnalysis,
     analyze_effects,
 )
-from .engine import (
-    Finding,
-    GraphRule,
-    LintEngine,
-    Rule,
-    RuleContext,
-    format_findings,
-    format_findings_json,
-    lint_paths,
-    lint_project,
-    lint_source,
-)
-from .rules import DEFAULT_GRAPH_RULES, DEFAULT_RULES, all_rule_codes
+from .engine import Finding, GraphRule, Rule, lint_project, lint_source
+from .rules import DEFAULT_GRAPH_RULES, DEFAULT_RULES
 from .symbols import ProjectIndex
 
 __all__ = [
@@ -60,15 +50,9 @@ __all__ = [
     "EffectAnalysis",
     "Finding",
     "GraphRule",
-    "LintEngine",
     "ProjectIndex",
     "Rule",
-    "RuleContext",
-    "all_rule_codes",
     "analyze_effects",
-    "format_findings",
-    "format_findings_json",
-    "lint_paths",
     "lint_project",
     "lint_source",
 ]

@@ -169,12 +169,12 @@ def layer_of(module: str, package: str = ROOT_PACKAGE) -> str | None:
     return module[len(prefix):].split(".", 1)[0]
 
 
-#: The contract `repro lint` enforces by default.
+#: The contract RL100 enforces by default.
 DEFAULT_CONTRACT = LayerContract()
 
 
 class ArchitectureContractRule(GraphRule):
-    """RL100: import that crosses the package layering the wrong way.
+    """RL100: import that violates the package layering contract.
 
     The §3.1 invariants survive only if data enters ``repro.core``
     through its validated constructors — which is a statement about the
@@ -184,7 +184,6 @@ class ArchitectureContractRule(GraphRule):
     """
 
     code = "RL100"
-    summary = "import violates the package layering contract"
 
     def __init__(self, contract: LayerContract | None = None) -> None:
         self.contract = contract or DEFAULT_CONTRACT

@@ -776,7 +776,7 @@ def analyze_effects(project: ProjectIndex) -> EffectAnalysis:
 
 
 class CacheCoherenceRule(GraphRule):
-    """RL200: backing-state mutation must reach the paired invalidation.
+    """RL200: backing-state mutation that leaves a registered cache stale.
 
     Two checks per :class:`CacheSpec`:
 
@@ -791,7 +791,6 @@ class CacheCoherenceRule(GraphRule):
     """
 
     code = "RL200"
-    summary = "backing-state mutation leaves a registered cache stale"
 
     def __init__(self, registry: tuple[CacheSpec, ...] = DEFAULT_CACHE_REGISTRY):
         self.registry = registry

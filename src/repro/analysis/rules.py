@@ -28,9 +28,6 @@ Two are whole-program rules, defined next door and registered here as
 ``RL200``  backing-state mutation leaves a registered cache stale
            (:mod:`repro.analysis.effects`)
 ========  ==============================================================
-
-Suppress a deliberate exception with ``# reprolint: disable=RLxxx`` on
-the offending line.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from collections.abc import Iterator
 
 from .contracts import ArchitectureContractRule
 from .effects import CacheCoherenceRule
-from .engine import Finding, GraphRule, Rule, RuleContext
+from .engine import Finding, GraphRule, Rule
 from .symbols import dotted_name
 
 __all__ = [
@@ -50,29 +47,27 @@ __all__ = [
     "FloatEqualityOnScoresRule",
     "UnseededRandomRule",
     "UnsortedSetIterationRule",
-    "all_rule_codes",
 ]
 
 
 class UnseededRandomRule(Rule):
-    """RL001: module-level ``random.*`` / ``np.random.*`` calls.
+    """RL001: unseeded randomness breaks same-seed determinism.
 
     Every experiment and CLI command prints byte-identical output for
     the same seed; any draw from the module-level (globally seeded)
-    generators escapes that contract.  Seeded construction —
-    ``random.Random(seed)``, ``np.random.default_rng(seed)``,
-    ``np.random.Generator(...)`` — is fine; *calling* the module-level
-    functions, or constructing either generator without a seed argument,
-    is not.
+    ``random.*`` / ``np.random.*`` generators escapes that contract.
+    Seeded construction — ``random.Random(seed)``,
+    ``np.random.default_rng(seed)``, ``np.random.Generator(...)`` — is
+    fine; *calling* the module-level functions, or constructing either
+    generator without a seed argument, is not.
     """
 
     code = "RL001"
-    summary = "unseeded randomness breaks same-seed determinism"
 
     _SEEDED_CONSTRUCTORS = frozenset({"Random", "SystemRandom", "default_rng", "Generator"})
     _RANDOM_MODULES = frozenset({"random", "np.random", "numpy.random"})
 
-    def check(self, tree: ast.Module, context: RuleContext) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -87,14 +82,14 @@ class UnseededRandomRule(Rule):
                     continue  # explicitly seeded/parameterized construction
                 yield self.finding(
                     node,
-                    context,
+                    path,
                     f"{name}() constructed without a seed; inject a seeded "
                     "generator instead (same-seed determinism)",
                 )
                 continue
             yield self.finding(
                 node,
-                context,
+                path,
                 f"module-level {name}() draws from shared global state; "
                 "use an injected seeded random.Random/np Generator",
             )
@@ -131,7 +126,6 @@ class FloatEqualityOnScoresRule(Rule):
     """
 
     code = "RL002"
-    summary = "exact float comparison on score values; use similarity.isclose"
 
     def _is_score_expr(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Name):
@@ -157,7 +151,7 @@ class FloatEqualityOnScoresRule(Rule):
             node = node.operand
         return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
-    def check(self, tree: ast.Module, context: RuleContext) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -172,7 +166,7 @@ class FloatEqualityOnScoresRule(Rule):
                 if score_side and float_side:
                     yield self.finding(
                         node,
-                        context,
+                        path,
                         "exact float comparison on a score expression; "
                         "use repro.core.similarity.isclose (1e-9 contract)",
                     )
@@ -194,7 +188,6 @@ class UnsortedSetIterationRule(Rule):
     """
 
     code = "RL005"
-    summary = "unsorted set iteration yields nondeterministic order"
 
     _SET_CALLS = frozenset({"set", "frozenset"})
     _ORDERING_SINKS = frozenset({"list", "tuple", "enumerate", "iter"})
@@ -223,7 +216,7 @@ class UnsortedSetIterationRule(Rule):
             )
         return False
 
-    def check(self, tree: ast.Module, context: RuleContext) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -244,7 +237,7 @@ class UnsortedSetIterationRule(Rule):
                 if self._is_set_expr(candidate):
                     yield self.finding(
                         candidate,
-                        context,
+                        path,
                         "iteration over an unsorted set; wrap in sorted() "
                         "to keep rankings/serialized output deterministic",
                     )
@@ -256,15 +249,10 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     UnsortedSetIterationRule(),
 )
 
-#: Whole-program rules `repro lint` runs alongside the per-file set.
+#: Whole-program rules :func:`~repro.analysis.engine.lint_project` runs
+#: alongside the per-file set.
 DEFAULT_GRAPH_RULES: tuple[GraphRule, ...] = (
     ArchitectureContractRule(),
     CacheCoherenceRule(),
 )
 
-
-def all_rule_codes() -> tuple[str, ...]:
-    """Stable tuple of every registered rule code (file + graph)."""
-    return tuple(rule.code for rule in DEFAULT_RULES) + tuple(
-        rule.code for rule in DEFAULT_GRAPH_RULES
-    )

@@ -13,9 +13,6 @@ Installed as the ``repro`` console script.  Subcommands:
 * ``repro crawl``      — chaos crawl: replicate a community under injected
   faults (``--fault-rate/--fault-seed/--retries`` …) and report
   retry/breaker/degradation statistics
-* ``repro lint``       — reprolint, the static-analysis pass (seeded
-  randomness, tolerance comparisons, layering, cache coherence; see
-  ``docs/ANALYSIS.md``)
 * ``repro trace``      — inspect observability artifacts:
   ``summarize FILE`` validates a JSONL trace and prints the slowest
   spans and per-name rollups; ``top FILE`` is the profiler view
@@ -110,9 +107,6 @@ _EXPERIMENTS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Deferred so that importing repro.cli never loads the lint package.
-    from .analysis.cli import add_arguments as add_lint_arguments
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Semantic Web Recommender Systems (EDBT 2004) reproduction",
@@ -202,13 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(crawl)
     _add_obs_arguments(crawl)
 
-    add_lint_arguments(
-        sub.add_parser(
-            "lint",
-            help="reprolint: the static-analysis pass (--list-rules for the catalogue)",
-        )
-    )
-
     trace = sub.add_parser("trace", help="inspect a JSONL trace file")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
@@ -251,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--sizes", default=None, metavar="N,N,...",
                        help="ascending community sizes (default: 100,200,400; "
-                            "BENCH_SMOKE=1 or --smoke: 60,120)")
+                            "--smoke: 60,120)")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--queries", type=int, default=5, metavar="N",
                        help="recommendation queries per size")
@@ -264,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--memory", action="store_true",
                        help="stamp per-span tracemalloc deltas into the trace")
     bench.add_argument("--smoke", action="store_true",
-                       help="smoke sizes + smoke marker in the document "
-                            "(same as BENCH_SMOKE=1)")
+                       help="smoke sizes + smoke marker in the document")
 
     return parser
 
@@ -579,13 +565,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the reprolint static-analysis pass (see repro.analysis)."""
-    from .analysis.cli import run_lint
-
-    return run_lint(args)
-
-
 def _load_validated_trace(
     path: str, strict_durations: bool = False
 ) -> list[dict] | None:
@@ -641,14 +620,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             sizes = tuple(int(piece) for piece in args.sizes.split(","))
         except ValueError:
             raise SystemExit(f"error: --sizes must be integers, got {args.sizes!r}")
-    smoke = True if args.smoke else None  # None: BENCH_SMOKE decides
     try:
         document, records = run_bench(
             sizes=sizes,
             seed=args.seed,
             queries=args.queries,
             trust_sources=args.sources,
-            smoke=smoke,
+            smoke=args.smoke,
             memory=args.memory,
         )
     except ValueError as error:
@@ -707,7 +685,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "demo": _cmd_demo,
         "crawl": _cmd_crawl,
-        "lint": _cmd_lint,
         "trace": _cmd_trace,
         "bench": _cmd_bench,
     }

@@ -31,7 +31,6 @@ stripped with :func:`strip_bench_measurements` for identity checks.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -72,10 +71,8 @@ MEASUREMENT_FIELDS = ("wall_ms", "dominant_self_ms")
 _PHASE_SPAN = {phase: f"bench.{phase}" for phase in PHASES}
 
 
-def default_sizes(smoke: bool | None = None) -> tuple[int, ...]:
-    """The declared size ladder; ``BENCH_SMOKE=1`` shrinks it for CI."""
-    if smoke is None:
-        smoke = os.environ.get("BENCH_SMOKE") == "1"
+def default_sizes(smoke: bool = False) -> tuple[int, ...]:
+    """The declared size ladder; ``smoke=True`` shrinks it to two rungs."""
     return (60, 120) if smoke else (100, 200, 400)
 
 
@@ -97,7 +94,7 @@ def run_bench(
     seed: int = 42,
     queries: int = 5,
     trust_sources: int = 8,
-    smoke: bool | None = None,
+    smoke: bool = False,
     memory: bool = False,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Run the build/query/trust ladder; returns ``(document, trace records)``.
@@ -107,8 +104,6 @@ def run_bench(
     :class:`~repro.obs.Tracer` (``memory=True`` adds per-span
     ``mem_delta_kb`` attribution at a small tracemalloc cost).
     """
-    if smoke is None:
-        smoke = os.environ.get("BENCH_SMOKE") == "1"
     if sizes is None:
         sizes = default_sizes(smoke)
     if not sizes or list(sizes) != sorted(set(sizes)):

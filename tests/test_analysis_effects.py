@@ -19,7 +19,6 @@ from repro.analysis.effects import (
     CacheSpec,
     analyze_effects,
 )
-from repro.analysis.engine import lint_project
 from repro.analysis.symbols import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -494,28 +493,6 @@ class TestCacheCoherenceRule:
     def test_mutation_without_visible_owner_is_clean(self, tmp_path):
         # Dataset.add_rating itself has no cache owner in scope.
         findings = self.run(tmp_path, {})
-        assert findings == []
-
-    def test_suppression_comment_honored(self, tmp_path):
-        paths = write_project(
-            tmp_path,
-            {
-                **_RL200_BASE,
-                "repro/core/service.py": """
-                    from .models import Dataset
-                    from .recommender import ProfileStore
-
-                    class Service:
-                        def __init__(self, dataset: Dataset, store: ProfileStore):
-                            self.dataset = dataset
-                            self.store = store
-
-                        def ingest(self, key, value):  # reprolint: disable=RL200
-                            self.dataset.add_rating(key, value)
-                """,
-            },
-        )
-        findings = lint_project(paths, select=["RL200"])
         assert findings == []
 
     def test_custom_registry(self, tmp_path):

@@ -3,7 +3,8 @@
 Fixtures build throwaway mini-packages on disk (the symbol table derives
 module names from the ``__init__.py`` chain, so a ``tmp/repro/web/...``
 tree produces real ``repro.web.*`` module names) and run either a single
-graph rule over the resulting :class:`ProjectIndex` or the full CLI.
+graph rule over the resulting :class:`ProjectIndex` or every rule
+through :func:`~repro.analysis.engine.lint_project`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main
 from repro.analysis.contracts import ArchitectureContractRule, layer_of
-from repro.analysis.engine import LintEngine
-from repro.analysis.rules import DEFAULT_GRAPH_RULES, DEFAULT_RULES, all_rule_codes
+from repro.analysis.engine import lint_project
 from repro.analysis.symbols import ProjectIndex, module_name_for_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -251,69 +250,9 @@ class TestEngineIntegration:
                 "repro/trust/metric.py": "",
             },
         )
-        engine = LintEngine(DEFAULT_RULES, graph_rules=DEFAULT_GRAPH_RULES)
-        found = codes(engine.lint_project([tmp_path]))
+        found = codes(lint_project([tmp_path]))
         assert "RL100" in found  # graph rule
         assert "RL005" in found  # file rule, same invocation
-
-    def test_suppression_comment_silences_graph_finding(self, tmp_path):
-        write_project(
-            tmp_path,
-            {
-                "repro/__init__.py": "from .core import bad\n",
-                "repro/core/__init__.py": "",
-                "repro/core/bad.py": (
-                    "from repro.trust import metric  # reprolint: disable=RL100\n"
-                ),
-                "repro/trust/__init__.py": "",
-                "repro/trust/metric.py": "",
-            },
-        )
-        engine = LintEngine(DEFAULT_RULES, graph_rules=DEFAULT_GRAPH_RULES)
-        assert engine.lint_project([tmp_path]) == []
-
-    def test_select_filters_graph_rules(self, tmp_path):
-        write_project(
-            tmp_path,
-            {
-                "repro/__init__.py": "from .core import bad\n",
-                "repro/core/__init__.py": "",
-                "repro/core/bad.py": "from repro.trust import metric\n",
-                "repro/trust/__init__.py": "",
-                "repro/trust/metric.py": "",
-            },
-        )
-        engine = LintEngine(
-            DEFAULT_RULES, select={"RL200"}, graph_rules=DEFAULT_GRAPH_RULES
-        )
-        assert engine.lint_project([tmp_path]) == []
-
-    def test_all_rule_codes_covers_graph_rules(self):
-        registered = all_rule_codes()
-        for code in ("RL100", "RL200"):
-            assert code in registered
-
-
-VIOLATION_TREE = {
-    "repro/__init__.py": "from .core import bad\nfrom .trust import metric\n",
-    "repro/core/__init__.py": "",
-    "repro/core/bad.py": "from repro.trust import metric\n",
-    "repro/trust/__init__.py": "",
-    "repro/trust/metric.py": "",
-}
-
-
-class TestCli:
-    def test_seeded_layering_violation_exits_nonzero(self, tmp_path, capsys):
-        write_project(tmp_path, VIOLATION_TREE)
-        assert main([str(tmp_path)]) == 1
-        assert "RL100" in capsys.readouterr().out
-
-    def test_list_rules_includes_graph_codes(self, capsys):
-        assert main(["--list-rules", "."]) == 0
-        out = capsys.readouterr().out
-        for code in ("RL100", "RL200"):
-            assert code in out
 
 
 class TestSelfCheck:
@@ -321,7 +260,5 @@ class TestSelfCheck:
 
     def test_repo_is_clean_under_graph_rules(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        findings = LintEngine(
-            DEFAULT_RULES, graph_rules=DEFAULT_GRAPH_RULES
-        ).lint_project(["src", "tests", "benchmarks", "examples"])
+        findings = lint_project(["src", "tests", "benchmarks", "examples"])
         assert findings == [], "findings:\n" + "\n".join(f.render() for f in findings)

@@ -74,14 +74,9 @@ class TestDriver:
         with pytest.raises(ValueError, match="strictly ascending"):
             run_bench(sizes=sizes)
 
-    def test_default_sizes_honor_the_smoke_env(self, monkeypatch):
-        monkeypatch.delenv("BENCH_SMOKE", raising=False)
-        full = default_sizes()
-        monkeypatch.setenv("BENCH_SMOKE", "1")
-        smoke = default_sizes()
-        assert smoke == (60, 120)
-        assert full == (100, 200, 400)
-        assert default_sizes(smoke=False) == full
+    def test_default_sizes_follow_the_smoke_flag(self):
+        assert default_sizes() == (100, 200, 400)
+        assert default_sizes(smoke=True) == (60, 120)
 
 
 class TestValidate:
