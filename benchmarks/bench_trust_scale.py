@@ -25,8 +25,6 @@ import json
 import os
 import pathlib
 
-from _util import report  # noqa: F401  (shared harness idiom)
-
 from repro.datasets.generators import stream_trust_edges
 from repro.obs import Stopwatch
 from repro.perf.trustmatrix import TrustMatrix

@@ -13,7 +13,7 @@ A decentralized, trust-aware, taxonomy-driven recommender framework:
 * :mod:`repro.datasets` — synthetic communities and taxonomies standing in
   for the crawled All Consuming / Advogato / Amazon data of §4.
 * :mod:`repro.evaluation` — metrics, protocols, attack models and the
-  EX1–EX11 experiment suite (see DESIGN.md / EXPERIMENTS.md).
+  EX1–EX23 experiment suite (see DESIGN.md / EXPERIMENTS.md).
 * :mod:`repro.analysis` — reprolint, the domain-aware static-analysis
   pass holding the §3.1 range and determinism invariants; the test
   suite runs it over the whole tree (see docs/ANALYSIS.md).

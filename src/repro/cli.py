@@ -58,6 +58,7 @@ from .core.recommender import (
 from .datasets.amazon import book_taxonomy_config
 from .datasets.generators import CommunityConfig, generate_community
 from .datasets.io import load_dataset, load_taxonomy, save_dataset, save_taxonomy
+from .evaluation.registry import EXPERIMENTS
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -78,32 +79,6 @@ from .trust.appleseed import Appleseed
 from .trust.graph import TrustGraph
 
 __all__ = ["main"]
-
-_EXPERIMENTS = {
-    "EX01": ("experiments", "run_ex01_example1", False),
-    "EX02": ("experiments", "run_ex02_trust_similarity", True),
-    "EX03": ("experiments", "run_ex03_appleseed_convergence", True),
-    "EX04": ("experiments", "run_ex04_attack_resistance", True),
-    "EX05": ("experiments", "run_ex05_profile_overlap", True),
-    "EX06": ("experiments", "run_ex06_recommendation_quality", True),
-    "EX07": ("experiments", "run_ex07_manipulation", True),
-    "EX08": ("experiments", "run_ex08_scalability", False),
-    "EX09": ("experiments", "run_ex09_taxonomy_structure", False),
-    "EX10": ("experiments", "run_ex10_synthesis", True),
-    "EX11": ("experiments", "run_ex11_crawler", True),
-    "EX12": ("experiments_ext", "run_ex12_prediction", False),
-    "EX13": ("experiments_ext", "run_ex13_stereotypes", True),
-    "EX14": ("experiments_ext", "run_ex14_ablations", True),
-    "EX15": ("experiments_ext", "run_ex15_weblog_mining", True),
-    "EX16": ("experiments_ext", "run_ex16_diversification", True),
-    "EX17": ("experiments_ext", "run_ex17_distrust", True),
-    "EX18": ("experiments_chaos", "run_ex18_chaos", True),
-    "EX19": ("experiments_perf", "run_ex19_engine", False),
-    "EX20": ("scenarios", "run_ex20_churn", False),
-    "EX21": ("scenarios", "run_ex21_coldstart", False),
-    "EX22": ("scenarios", "run_ex22_evolving_sybil", False),
-    "EX23": ("scenarios", "run_ex23_drift", False),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(rank)
 
     experiment = sub.add_parser("experiment", help="run one experiment table")
-    experiment.add_argument("id", choices=sorted(_EXPERIMENTS), metavar="ID",
+    experiment.add_argument("id", choices=sorted(EXPERIMENTS), metavar="ID",
                             type=str.upper, help="EX01..EX23 (case-insensitive)")
     _add_obs_arguments(experiment)
 
@@ -421,28 +396,8 @@ def _cmd_trust_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    module_name, func_name, needs_community = _EXPERIMENTS[args.id]
-    from .evaluation import (
-        experiments,
-        experiments_chaos,
-        experiments_ext,
-        experiments_perf,
-        scenarios,
-    )
-
-    modules = {
-        "experiments": experiments,
-        "experiments_ext": experiments_ext,
-        "experiments_chaos": experiments_chaos,
-        "experiments_perf": experiments_perf,
-        "scenarios": scenarios,
-    }
-    func = getattr(modules[module_name], func_name)
     with get_tracer().span(f"experiment.{args.id}"):
-        if needs_community:
-            table = func(experiments.default_community())
-        else:
-            table = func()
+        table = EXPERIMENTS[args.id].table()
     print(table.render())
     return 0
 

@@ -37,21 +37,19 @@ from .protocol import (
     Table,
     evaluate_recommender,
     holdout_split,
-    kfold_splits,
 )
 from .significance import (
     ComparisonResult,
     SeriesComparison,
     bootstrap_confidence_interval,
     compare_epoch_series,
-    compare_recommenders,
     holm_bonferroni,
     paired_permutation_test,
 )
 
-# The experiment suites are imported lazily by callers (repro.cli, the
-# benches) to keep `import repro.evaluation` light; see
-# repro.evaluation.experiments and repro.evaluation.experiments_ext.
+# The experiment suites and their registry are imported by the callers
+# that run them (repro.cli, scripts/generate_experiments_md.py) to keep
+# `import repro.evaluation` light; see repro.evaluation.registry.
 
 __all__ = [
     "AgentChurn",
@@ -74,7 +72,6 @@ __all__ = [
     "bootstrap_confidence_interval",
     "catalog_coverage",
     "compare_epoch_series",
-    "compare_recommenders",
     "evaluate_recommender",
     "f1_score",
     "hit_rate",
@@ -83,7 +80,6 @@ __all__ = [
     "inject_profile_copy_attack",
     "inject_sybil_region",
     "kendall_tau",
-    "kfold_splits",
     "mean",
     "mean_absolute_error",
     "paired_permutation_test",

@@ -6,9 +6,9 @@ positively rated products per qualifying user, recommend from the
 remaining data, and score the recommendation list against the withheld
 items.  Aggregates report mean ± standard error over evaluated users.
 
-:class:`Table` is the shared presentation layer: every experiment and
-benchmark renders through it, so EXPERIMENTS.md, test assertions and
-bench output all see identical numbers.
+:class:`Table` is the shared presentation layer: every experiment
+renders through it, so EXPERIMENTS.md, ``repro experiment`` and test
+assertions all see identical numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Table",
     "evaluate_recommender",
     "holdout_split",
-    "kfold_splits",
     "per_user_scores",
 ]
 
@@ -84,59 +83,6 @@ def holdout_split(
         for product in withheld:
             train.remove_rating(agent, product)
     return HoldoutSplit(train=train, held_out=held_out)
-
-
-def kfold_splits(
-    dataset: Dataset,
-    folds: int = 5,
-    min_ratings: int = 10,
-    max_users: int | None = None,
-    seed: int = 0,
-) -> list[HoldoutSplit]:
-    """Per-user k-fold cross-validation splits.
-
-    Each qualifying user's positive ratings are partitioned into *folds*
-    near-equal parts; split *i* withholds part *i* for every user
-    simultaneously.  Every positive rating of a qualifying user is
-    therefore withheld exactly once across the returned splits, making
-    fold-averaged metrics less sensitive to one lucky holdout draw than
-    :func:`holdout_split`.
-    """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
-    if min_ratings < folds:
-        raise ValueError("min_ratings must be at least the fold count")
-    rng = random.Random(seed)
-
-    positive: dict[str, list[str]] = {}
-    for rating in dataset.iter_ratings():
-        if rating.is_positive:
-            positive.setdefault(rating.agent, []).append(rating.product)
-    qualifying = sorted(a for a, items in positive.items() if len(items) >= min_ratings)
-    rng.shuffle(qualifying)
-    if max_users is not None:
-        qualifying = qualifying[:max_users]
-
-    # One fixed shuffled partition per user, shared by all folds.
-    partitions: dict[str, list[list[str]]] = {}
-    for agent in qualifying:
-        items = sorted(positive[agent])
-        rng.shuffle(items)
-        partitions[agent] = [items[i::folds] for i in range(folds)]
-
-    splits: list[HoldoutSplit] = []
-    for fold in range(folds):
-        train = dataset.copy()
-        held_out: dict[str, frozenset[str]] = {}
-        for agent in qualifying:
-            withheld = frozenset(partitions[agent][fold])
-            if not withheld:
-                continue
-            held_out[agent] = withheld
-            for product in withheld:
-                train.remove_rating(agent, product)
-        splits.append(HoldoutSplit(train=train, held_out=held_out))
-    return splits
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,26 +202,6 @@ class Table:
         lines.extend(fmt(row) for row in self.rows)
         for note in self.notes:
             lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavored Markdown table with title and notes.
-
-        Cell content is pipe-escaped; notes become italicized trailing
-        lines.  Used by the EXPERIMENTS.md generator.
-        """
-
-        def escape(cell: str) -> str:
-            return cell.replace("|", "\\|")
-
-        lines = [f"**{self.title}**", ""]
-        lines.append("| " + " | ".join(escape(h) for h in self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(escape(c) for c in row) + " |")
-        for note in self.notes:
-            lines.append("")
-            lines.append(f"*{note}*")
         return "\n".join(lines)
 
     def __str__(self) -> str:

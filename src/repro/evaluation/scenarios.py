@@ -24,13 +24,11 @@ Per-epoch hybrid-vs-CF comparisons feed
 "trust degrades gracefully" is a tested statistical claim.  Everything
 is deterministic given the seed, and per-user scoring is
 :func:`~repro.evaluation.protocol.evaluate_recommender`'s own
-:func:`~repro.evaluation.protocol.per_user_scores`.  Setting
-``EX2x_SMOKE=1`` shrinks the default sizes for CI smoke runs.
+:func:`~repro.evaluation.protocol.per_user_scores`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Sequence
 
@@ -72,11 +70,6 @@ __all__ = [
 ]
 
 
-def _smoke() -> bool:
-    """Whether the shared EX20–EX23 smoke mode is active."""
-    return os.environ.get("EX2x_SMOKE") == "1"
-
-
 def smooth_degradation(values: Sequence[float], tolerance: float = 0.02) -> bool:
     """True when *values* never rise by more than *tolerance* per step.
 
@@ -88,9 +81,7 @@ def smooth_degradation(values: Sequence[float], tolerance: float = 0.02) -> bool
 
 
 def _scenario_community(seed: int) -> SyntheticCommunity:
-    """The default community for a scenario, sized by smoke mode."""
-    if _smoke():
-        return default_community(seed=seed, n_agents=80, n_products=160)
+    """The default community for a scenario."""
     return default_community(seed=seed, n_agents=120, n_products=240)
 
 
@@ -190,22 +181,17 @@ def _series_cells(comparison: SeriesComparison) -> tuple[str, str, str]:
 
 def run_ex20_churn(
     community: SyntheticCommunity | None = None,
-    churn_rates: Sequence[float] | None = None,
-    n_epochs: int | None = None,
+    churn_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
+    n_epochs: int = 4,
     seed: int = 60,
     top_n: int = 10,
     per_user: int = 3,
     min_ratings: int = 8,
-    max_users: int | None = None,
-    rounds: int | None = None,
+    max_users: int | None = 14,
+    rounds: int = 1000,
 ) -> Table:
     """Hybrid vs CF accuracy as membership churn intensifies."""
-    smoke = _smoke()
     community = community or _scenario_community(seed)
-    churn_rates = tuple(churn_rates or ((0.0, 0.1) if smoke else (0.0, 0.05, 0.1, 0.2)))
-    n_epochs = n_epochs or (2 if smoke else 4)
-    max_users = max_users if max_users is not None else (10 if smoke else 14)
-    rounds = rounds or (200 if smoke else 1000)
 
     table = Table(
         title=f"EX20 — membership churn vs recommendation accuracy (top-{top_n})",
@@ -275,22 +261,17 @@ def _newcomer_coverage(
 
 def run_ex21_coldstart(
     community: SyntheticCommunity | None = None,
-    wave_sizes: Sequence[int] | None = None,
-    n_epochs: int | None = None,
+    wave_sizes: Sequence[int] = (0, 5, 10, 20),
+    n_epochs: int = 4,
     seed: int = 61,
     top_n: int = 10,
     per_user: int = 3,
     min_ratings: int = 8,
-    max_users: int | None = None,
-    rounds: int | None = None,
+    max_users: int | None = 14,
+    rounds: int = 1000,
 ) -> Table:
     """Established-user accuracy and newcomer coverage under influx."""
-    smoke = _smoke()
     community = community or _scenario_community(seed)
-    wave_sizes = tuple(wave_sizes or ((0, 6) if smoke else (0, 5, 10, 20)))
-    n_epochs = n_epochs or (2 if smoke else 4)
-    max_users = max_users if max_users is not None else (10 if smoke else 14)
-    rounds = rounds or (200 if smoke else 1000)
 
     table = Table(
         title=f"EX21 — cold-start waves vs accuracy and coverage (top-{top_n})",
@@ -351,15 +332,15 @@ def run_ex21_coldstart(
 
 def run_ex22_evolving_sybil(
     community: SyntheticCommunity | None = None,
-    bridge_rates: Sequence[int] | None = None,
-    n_epochs: int | None = None,
-    ring_growth: int | None = None,
+    bridge_rates: Sequence[int] = (0, 1, 2, 4),
+    n_epochs: int = 4,
+    ring_growth: int = 6,
     seed: int = 62,
     top_n: int = 10,
     top_k: int = 20,
     per_user: int = 3,
     min_ratings: int = 8,
-    max_users: int | None = None,
+    max_users: int | None = 14,
 ) -> Table:
     """A sybil ring accreting identities, forged profiles and bridges.
 
@@ -369,12 +350,7 @@ def run_ex22_evolving_sybil(
     product contamination of the victim's top-N for hybrid vs CF, and
     honest-user accuracy.
     """
-    smoke = _smoke()
     community = community or _scenario_community(seed)
-    bridge_rates = tuple(bridge_rates or ((0, 2) if smoke else (0, 1, 2, 4)))
-    n_epochs = n_epochs or (2 if smoke else 4)
-    ring_growth = ring_growth or (4 if smoke else 6)
-    max_users = max_users if max_users is not None else (10 if smoke else 14)
     victim = sorted(community.dataset.agents)[0]
     metrics = get_metrics()
 
@@ -464,24 +440,17 @@ def run_ex22_evolving_sybil(
 
 def run_ex23_drift(
     community: SyntheticCommunity | None = None,
-    drift_rates: Sequence[float] | None = None,
-    n_epochs: int | None = None,
+    drift_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
+    n_epochs: int = 4,
     seed: int = 63,
     top_n: int = 10,
     per_user: int = 3,
     min_ratings: int = 8,
-    max_users: int | None = None,
-    rounds: int | None = None,
+    max_users: int | None = 14,
+    rounds: int = 1000,
 ) -> Table:
     """Hybrid vs CF accuracy as interest clusters erode."""
-    smoke = _smoke()
     community = community or _scenario_community(seed)
-    drift_rates = tuple(
-        drift_rates or ((0.0, 0.2) if smoke else (0.0, 0.1, 0.2, 0.4))
-    )
-    n_epochs = n_epochs or (2 if smoke else 4)
-    max_users = max_users if max_users is not None else (10 if smoke else 14)
-    rounds = rounds or (200 if smoke else 1000)
 
     table = Table(
         title=f"EX23 — interest drift vs recommendation accuracy (top-{top_n})",

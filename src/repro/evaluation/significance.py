@@ -1,8 +1,8 @@
 """Statistical significance for recommender comparisons.
 
-The EX6/EX10 tables report mean ± standard error; when two methods sit
-close, the question is whether the difference survives the per-user
-pairing.  This module provides the two standard dependency-free answers:
+When two methods sit close, the question is whether the difference
+survives the per-user pairing.  This module provides the two standard
+dependency-free answers:
 
 * :func:`paired_permutation_test` — exact-in-the-limit test of the null
   "both methods are exchangeable per user": randomly flips the sign of
@@ -12,10 +12,10 @@ pairing.  This module provides the two standard dependency-free answers:
   mean per-user difference.
 
 Both operate on *paired* per-user metric sequences (same users, same
-order), which is exactly what
-:func:`~repro.evaluation.protocol.evaluate_recommender` iterates over.
-:func:`paired_scores` drives two recommenders over one split and returns
-those sequences.
+order), such as the precision column of
+:func:`~repro.evaluation.protocol.per_user_scores`.
+:func:`compare_epoch_series` applies both to every epoch of an EX20–EX23
+timeline and Holm-corrects the per-epoch family.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..core.recommender import Recommender
 from .metrics import mean
-from .protocol import HoldoutSplit, per_user_scores
 
 __all__ = [
     "ComparisonResult",
@@ -36,7 +34,6 @@ __all__ = [
     "derive_seed",
     "holm_bonferroni",
     "paired_permutation_test",
-    "paired_scores",
 ]
 
 
@@ -228,43 +225,4 @@ def compare_epoch_series(
         epochs=tuple(epochs),
         adjusted_p_values=tuple(holm_bonferroni([e.p_value for e in epochs])),
         pooled=pooled,
-    )
-
-
-def paired_scores(
-    first: Recommender,
-    second: Recommender,
-    split: HoldoutSplit,
-    top_n: int = 10,
-) -> tuple[list[float], list[float]]:
-    """Per-user precision@N sequences for two recommenders on one split."""
-    first_scores, second_scores = (
-        [precision for precision, _, _ in per_user_scores(recommender, split, top_n)]
-        for recommender in (first, second)
-    )
-    return first_scores, second_scores
-
-
-def compare_recommenders(
-    first: Recommender,
-    second: Recommender,
-    split: HoldoutSplit,
-    top_n: int = 10,
-    rounds: int = 5_000,
-    seed: int = 0,
-) -> ComparisonResult:
-    """Full paired comparison (difference = first − second)."""
-    first_scores, second_scores = paired_scores(first, second, split, top_n)
-    differences = [a - b for a, b in zip(first_scores, second_scores)]
-    low, high = bootstrap_confidence_interval(
-        first_scores, second_scores, rounds=rounds, seed=seed
-    )
-    return ComparisonResult(
-        mean_difference=mean(differences),
-        p_value=paired_permutation_test(
-            first_scores, second_scores, rounds=rounds, seed=seed
-        ),
-        ci_low=low,
-        ci_high=high,
-        n_users=len(differences),
     )

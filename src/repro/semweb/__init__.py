@@ -2,7 +2,6 @@
 
 from .diff import GraphDelta, HomepageUpdate, graph_diff, summarize_homepage_update
 from .namespace import FOAF, RDF, RDFS, REPRO, TRUST, Namespace
-from .query import Variable, select, select_one
 from .rdf import BNode, Graph, Literal, Node, URIRef
 from .serializer import (
     ParseError,
@@ -10,7 +9,6 @@ from .serializer import (
     serialize_ntriples,
     serialize_turtle,
 )
-from .validation import Issue, validate_homepage
 
 __all__ = [
     "BNode",
@@ -18,7 +16,6 @@ __all__ = [
     "Graph",
     "GraphDelta",
     "HomepageUpdate",
-    "Issue",
     "Literal",
     "Namespace",
     "Node",
@@ -28,13 +25,9 @@ __all__ = [
     "REPRO",
     "TRUST",
     "URIRef",
-    "Variable",
     "graph_diff",
     "parse_ntriples",
-    "select",
-    "select_one",
     "serialize_ntriples",
     "serialize_turtle",
     "summarize_homepage_update",
-    "validate_homepage",
 ]

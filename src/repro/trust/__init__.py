@@ -6,11 +6,7 @@ from .engine import pack_graph, rank_many
 from .graph import TrustGraph
 from .maxflow import FlowNetwork
 from .pagerank import PageRankResult, PersonalizedPageRank
-from .scalar import (
-    horizon_average_trust,
-    multiplicative_path_trust,
-    scalar_neighborhood,
-)
+from .scalar import multiplicative_path_trust, scalar_neighborhood
 
 __all__ = [
     "Advogato",
@@ -21,7 +17,6 @@ __all__ = [
     "PageRankResult",
     "PersonalizedPageRank",
     "TrustGraph",
-    "horizon_average_trust",
     "multiplicative_path_trust",
     "pack_graph",
     "rank_many",

@@ -194,10 +194,10 @@ class TrustGraph:
         Only edges between discovered nodes are retained.  Traversal
         follows positive edges (distrust does not extend one's horizon)
         but negative edges *between* discovered nodes are kept so distrust
-        post-processing still sees them.  The python Appleseed oracle and
-        :func:`~repro.trust.scalar.horizon_average_trust` explore through
-        this copy; the packed engine slices the same horizon out of
-        :meth:`packed` instead, equal to packing this sub-graph.
+        post-processing still sees them.  The python Appleseed oracle
+        explores through this copy; the packed engine slices the same
+        horizon out of :meth:`packed` instead, equal to packing this
+        sub-graph.
         """
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")

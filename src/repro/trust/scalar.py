@@ -2,8 +2,8 @@
 
 §3.2 notes that "numerous scalar metrics [10, 11] have been proposed for
 computing trust between two given individuals", but that neighborhood
-formation needs *group* metrics instead.  We implement two representative
-scalar metrics so experiments can quantify the difference:
+formation needs *group* metrics instead.  We implement a representative
+scalar metric so experiments can quantify the difference:
 
 * :func:`multiplicative_path_trust` — Beth/Borcherding/Klein-style
   attenuation: trust along a path is the product of edge weights, and the
@@ -11,10 +11,8 @@ scalar metrics so experiments can quantify the difference:
   a Dijkstra-style search (maximizing products of weights in ``(0, 1]`` is
   shortest path under ``-log`` transform; weights equal to 1 are handled
   by the monotone product itself).
-* :func:`horizon_average_trust` — naive averaging of the trust statements
-  reaching the target within a bounded horizon, attenuated by hop count.
 
-Both treat each target independently, which is exactly why they are
+It treats each target independently, which is exactly why it is
 vulnerable to edge-flooding attacks (EX4): every additional attack edge
 creates another high-trust path, and nothing bounds the *group* of
 admitted agents.
@@ -27,7 +25,6 @@ import heapq
 from .graph import TrustGraph
 
 __all__ = [
-    "horizon_average_trust",
     "multiplicative_path_trust",
     "scalar_neighborhood",
 ]
@@ -73,42 +70,6 @@ def multiplicative_path_trust(
                 # assigned on settling.
                 heapq.heappush(heap, (-candidate, target, depth + 1))
     return best
-
-
-def horizon_average_trust(
-    graph: TrustGraph,
-    source: str,
-    max_depth: int = 3,
-    attenuation: float = 0.5,
-) -> dict[str, float]:
-    """Hop-attenuated average of incoming trust statements within a horizon.
-
-    Every agent within *max_depth* positive hops of *source* receives the
-    mean of the trust statements pointing at it from other agents in the
-    horizon, multiplied by ``attenuation ** (hops - 1)``.  Direct
-    statements from the source are taken at face value.
-    """
-    if not 0.0 < attenuation <= 1.0:
-        raise ValueError("attenuation must lie in (0, 1]")
-    horizon = graph.within_horizon(source, max_depth)
-    levels = horizon.bfs_levels(source)
-    scores: dict[str, float] = {}
-    for node, level in levels.items():
-        if node == source:
-            continue
-        direct = horizon.weight(source, node)
-        if direct is not None:
-            scores[node] = direct
-            continue
-        incoming = [
-            weight
-            for origin, weight in horizon.predecessors(node).items()
-            if origin in levels and weight > 0.0
-        ]
-        if incoming:
-            mean = sum(incoming) / len(incoming)
-            scores[node] = mean * attenuation ** max(0, level - 1)
-    return scores
 
 
 def scalar_neighborhood(

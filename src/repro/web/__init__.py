@@ -12,7 +12,6 @@ from .faults import (
     TransientWebError,
     site_of,
 )
-from .freshness import FreshnessPolicy, plan_refresh
 from .network import FetchResult, SimulatedWeb, WebError
 from .replicator import (
     CommunityReplicator,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultyWeb",
     "FetchOutcome",
     "FetchResult",
-    "FreshnessPolicy",
     "HostDownError",
     "LinkMiner",
     "ReplicationReport",
@@ -43,7 +41,6 @@ __all__ = [
     "TransientWebError",
     "WebError",
     "WeblogPost",
-    "plan_refresh",
     "publish_community",
     "publish_split_community",
     "publish_weblogs",

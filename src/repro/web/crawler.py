@@ -361,14 +361,6 @@ class Crawler:
             metrics.counter("crawl.degraded").inc(len(report.degraded))
         return report
 
-    def _extract_links(
-        self, uri: str, body: str, parse_failures: list[str]
-    ) -> list[str]:
-        return [
-            target
-            for target, _ in self._extract_weighted_links(uri, body, parse_failures)
-        ]
-
     def _extract_weighted_links(
         self, uri: str, body: str, parse_failures: list[str]
     ) -> list[tuple[str, float]]:

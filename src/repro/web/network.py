@@ -48,8 +48,8 @@ class SimulatedWeb:
     All traffic is counted, not just successes: ``fetch_count`` tallies
     delivered documents, ``error_count`` failed fetches (404s, plus any
     fault a wrapping :class:`~repro.web.faults.FaultyWeb` injects), and
-    ``probe_count`` the cheap :meth:`version` HEAD probes freshness
-    policies rely on — so budgets and benchmarks charge every request.
+    ``probe_count`` the cheap :meth:`version` HEAD probes a crawler's
+    refresh pass makes — so budgets and benchmarks charge every request.
     """
 
     def __init__(self) -> None:

@@ -32,7 +32,7 @@ class StoredDocument:
 
     ``degraded`` marks a replica that is being served although its last
     refresh attempt failed (stale fallback) — consumers keep working
-    from it, and freshness policies can prioritize repairing it.
+    from it, and the next refresh retries it.
     """
 
     uri: str
@@ -109,15 +109,6 @@ class DocumentStore:
     def quarantined_uris(self) -> Iterator[str]:
         """URIs with a quarantined (corrupt) body held aside."""
         return iter(self._quarantined)
-
-    def coverage_summary(self) -> dict[str, int]:
-        """Replica health at a glance: totals per degradation state."""
-        degraded = sum(1 for doc in self._documents.values() if doc.degraded)
-        return {
-            "documents": len(self._documents),
-            "degraded": degraded,
-            "quarantined": len(self._quarantined),
-        }
 
     def __contains__(self, uri: str) -> bool:
         return uri in self._documents

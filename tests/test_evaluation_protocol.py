@@ -9,7 +9,6 @@ from repro.evaluation.protocol import (
     Table,
     evaluate_recommender,
     holdout_split,
-    kfold_splits,
 )
 
 
@@ -66,60 +65,6 @@ class TestHoldoutSplit:
             holdout_split(small_community.dataset, per_user=0)
         with pytest.raises(ValueError):
             holdout_split(small_community.dataset, per_user=5, min_ratings=5)
-
-
-class TestKFoldSplits:
-    def test_fold_count(self, small_community):
-        splits = kfold_splits(small_community.dataset, folds=4, min_ratings=8)
-        assert len(splits) == 4
-
-    def test_every_positive_withheld_exactly_once(self, small_community):
-        dataset = small_community.dataset
-        splits = kfold_splits(dataset, folds=4, min_ratings=8, seed=3)
-        qualifying = set(splits[0].held_out) | set(splits[-1].held_out)
-        withheld_counts: dict[tuple[str, str], int] = {}
-        for split in splits:
-            for agent, items in split.held_out.items():
-                for product in items:
-                    key = (agent, product)
-                    withheld_counts[key] = withheld_counts.get(key, 0) + 1
-        assert all(count == 1 for count in withheld_counts.values())
-        # Coverage: every positive rating of a qualifying agent appears.
-        for agent in qualifying:
-            positives = {
-                p for p, v in dataset.ratings_of(agent).items() if v > 0
-            }
-            withheld = {p for (a, p) in withheld_counts if a == agent}
-            assert withheld == positives
-
-    def test_train_disjoint_from_held_out(self, small_community):
-        splits = kfold_splits(small_community.dataset, folds=3, min_ratings=8)
-        for split in splits:
-            for agent, items in split.held_out.items():
-                for product in items:
-                    assert (agent, product) not in split.train.ratings
-
-    def test_original_untouched(self, small_community):
-        before = dict(small_community.dataset.ratings)
-        kfold_splits(small_community.dataset, folds=3, min_ratings=8)
-        assert small_community.dataset.ratings == before
-
-    def test_deterministic(self, small_community):
-        first = kfold_splits(small_community.dataset, folds=3, min_ratings=8, seed=9)
-        second = kfold_splits(small_community.dataset, folds=3, min_ratings=8, seed=9)
-        assert [s.held_out for s in first] == [s.held_out for s in second]
-
-    def test_invalid_parameters(self, small_community):
-        with pytest.raises(ValueError):
-            kfold_splits(small_community.dataset, folds=1)
-        with pytest.raises(ValueError):
-            kfold_splits(small_community.dataset, folds=5, min_ratings=3)
-
-    def test_max_users(self, small_community):
-        splits = kfold_splits(
-            small_community.dataset, folds=3, min_ratings=8, max_users=4
-        )
-        assert all(len(s.held_out) <= 4 for s in splits)
 
 
 class TestEvaluateRecommender:

@@ -10,7 +10,6 @@ from repro.core.similarity import isclose
 from repro.evaluation.significance import (
     bootstrap_confidence_interval,
     compare_epoch_series,
-    compare_recommenders,
     derive_seed,
     holm_bonferroni,
     paired_permutation_test,
@@ -105,39 +104,6 @@ class TestBootstrapCI:
         a = bootstrap_confidence_interval(first, second, rounds=500, seed=11)
         b = bootstrap_confidence_interval(first, second, rounds=500, seed=11)
         assert a == b
-
-
-class TestCompareRecommenders:
-    def test_personalized_vs_random_significant(self, small_community):
-        from repro.core.recommender import PopularityRecommender, RandomRecommender
-        from repro.evaluation.protocol import holdout_split
-
-        split = holdout_split(
-            small_community.dataset, per_user=3, min_ratings=8, max_users=30, seed=12
-        )
-        result = compare_recommenders(
-            PopularityRecommender(dataset=split.train),
-            RandomRecommender(dataset=split.train),
-            split,
-            rounds=1000,
-            seed=13,
-        )
-        assert result.n_users == 30
-        assert result.mean_difference >= 0.0
-        assert 0.0 < result.p_value <= 1.0
-
-    def test_self_comparison_not_significant(self, small_community):
-        from repro.core.recommender import PopularityRecommender
-        from repro.evaluation.protocol import holdout_split
-
-        split = holdout_split(
-            small_community.dataset, per_user=3, min_ratings=8, max_users=20, seed=14
-        )
-        method = PopularityRecommender(dataset=split.train)
-        result = compare_recommenders(method, method, split, rounds=500, seed=15)
-        assert isclose(result.mean_difference, 0.0)
-        assert isclose(result.p_value, 1.0)
-        assert not result.significant
 
 
 class TestHolmBonferroni:

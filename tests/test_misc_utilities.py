@@ -1,5 +1,5 @@
-"""Tests for smaller utilities: markdown tables, fallback recommender,
-stream helpers, and loose ends across modules."""
+"""Tests for smaller utilities: fallback recommender, stream helpers,
+and loose ends across modules."""
 
 from __future__ import annotations
 
@@ -11,30 +11,6 @@ from repro.core.recommender import (
     Recommendation,
     Recommender,
 )
-from repro.evaluation.protocol import Table
-
-
-class TestTableMarkdown:
-    def test_basic_shape(self):
-        table = Table(title="T", headers=["a", "b"])
-        table.add_row("x", 1)
-        text = table.to_markdown()
-        lines = text.splitlines()
-        assert lines[0] == "**T**"
-        assert lines[2] == "| a | b |"
-        assert lines[3] == "|---|---|"
-        assert lines[4] == "| x | 1 |"
-
-    def test_pipe_escaping(self):
-        table = Table(title="T", headers=["a"])
-        table.add_row("x|y")
-        assert "x\\|y" in table.to_markdown()
-
-    def test_notes_italicized(self):
-        table = Table(title="T", headers=["a"])
-        table.add_row("x")
-        table.add_note("careful")
-        assert "*careful*" in table.to_markdown()
 
 
 class _FixedRecommender(Recommender):

@@ -224,6 +224,14 @@ class TestCommunityAgreement:
             )
             assert _canonical(py) == _canonical(nu)
 
+    def test_ex19_table_reports_engine_parity(self):
+        """EX19's max|delta| column stays inside the parity bound (sizes shrunk)."""
+        from repro.evaluation.experiments_perf import run_ex19_engine
+
+        table = run_ex19_engine(sizes=(40, 80), principals=3)
+        assert [row[0] for row in table.rows] == ["40", "80"]
+        assert all(float(row[-1]) < TOL for row in table.rows)
+
 
 class TestEngineSelection:
     def test_pruning_matches_unpruned_scores(self, small_community):

@@ -8,6 +8,7 @@ version string must match the package metadata convention.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -73,7 +74,6 @@ def test_quickstart_community_parameters():
 
 def test_experiment_functions_are_registered_in_cli():
     """Every run_ex* function must be reachable via `repro experiment`."""
-    from repro.cli import _EXPERIMENTS
     from repro.evaluation import (
         experiments,
         experiments_chaos,
@@ -81,30 +81,27 @@ def test_experiment_functions_are_registered_in_cli():
         experiments_perf,
         scenarios,
     )
+    from repro.evaluation.registry import EXPERIMENTS
 
     defined = {
-        name
+        getattr(module, name)
         for module in (experiments, experiments_chaos, experiments_ext, experiments_perf, scenarios)
         for name in module.__all__
         if name.startswith("run_ex")
     }
-    registered = {func for _, func, _ in _EXPERIMENTS.values()}
+    registered = {experiment.run for experiment in EXPERIMENTS.values()}
     assert defined == registered
+    assert len(EXPERIMENTS) == len(registered)
 
 
-def test_every_experiment_has_a_bench_target():
-    """DESIGN.md promises one bench per experiment; hold the repo to it."""
+def test_every_experiment_has_a_document_section():
+    """The EXPERIMENTS.md generator holds one section per registry id, no more."""
     from pathlib import Path
 
-    from repro.cli import _EXPERIMENTS
+    from repro.evaluation.registry import EXPERIMENTS
 
-    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-    bench_files = {p.name for p in bench_dir.glob("bench_ex*.py")}
-    for experiment_id in _EXPERIMENTS:
-        number = experiment_id[2:].lstrip("0") or "0"
-        matches = [
-            name
-            for name in bench_files
-            if name.startswith(f"bench_ex{int(number):02d}_")
-        ]
-        assert matches, f"no bench file for {experiment_id}"
+    script = Path(__file__).resolve().parent.parent / "scripts" / "generate_experiments_md.py"
+    spec = importlib.util.spec_from_file_location("generate_experiments_md", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert set(generator.SECTIONS) == set(EXPERIMENTS)

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.trust.graph import TrustGraph
-from repro.trust.scalar import (
-    horizon_average_trust,
-    multiplicative_path_trust,
-    scalar_neighborhood,
-)
+from repro.trust.scalar import multiplicative_path_trust, scalar_neighborhood
 
 
 def graph() -> TrustGraph:
@@ -75,26 +71,6 @@ class TestMultiplicativePath:
                 if w > 0
             ]
             assert value == pytest.approx(max(predecessors))
-
-
-class TestHorizonAverage:
-    def test_direct_statement_taken_verbatim(self):
-        scores = horizon_average_trust(graph(), "a", max_depth=2)
-        assert scores["b"] == pytest.approx(0.9)
-        assert scores["c"] == pytest.approx(0.5)
-
-    def test_indirect_attenuated_average(self):
-        scores = horizon_average_trust(graph(), "a", max_depth=3, attenuation=0.5)
-        # d is at BFS level 2 (a->c->d), only incoming statement c->d = 1.0.
-        assert scores["d"] == pytest.approx(1.0 * 0.5)
-
-    def test_invalid_attenuation(self):
-        with pytest.raises(ValueError):
-            horizon_average_trust(graph(), "a", attenuation=0.0)
-
-    def test_horizon_respected(self):
-        scores = horizon_average_trust(graph(), "a", max_depth=1)
-        assert "d" not in scores
 
 
 class TestScalarNeighborhood:

@@ -193,15 +193,3 @@ class TestDegradationBookkeeping:
         store.quarantine("u:a", "corrupt bytes")
         assert store.get("u:a").body == "good"
         assert list(store.quarantined_uris()) == ["u:a"]
-
-    def test_coverage_summary_counts(self):
-        store = DocumentStore()
-        store.put("u:a", "x", version=1, fetched_at=1, kind="agent")
-        store.put("u:b", "y", version=1, fetched_at=1, kind="agent")
-        store.mark_degraded("u:b")
-        store.quarantine("u:a", "junk")
-        assert store.coverage_summary() == {
-            "documents": 2,
-            "degraded": 1,
-            "quarantined": 1,
-        }
