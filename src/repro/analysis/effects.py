@@ -144,7 +144,6 @@ _TRUST_GRAPH = "repro.trust.graph.TrustGraph"
 _TAXONOMY = "repro.core.taxonomy.Taxonomy"
 _BUILDER = "repro.core.profiles.TaxonomyProfileBuilder"
 _DIVERSIFIER = "repro.core.diversify.TopicDiversifier"
-_PROFILE_MATRIX = "repro.perf.matrix.ProfileMatrix"
 
 #: The repository's cache-coherence pairings.  A non-``None`` store into
 #: any cache field named here is a memo fill (see the module docstring).
@@ -185,7 +184,7 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
     ),
     CacheSpec(
         name="trust-successor-cache",
-        backing=(f"{_TRUST_GRAPH}._succ", f"{_TRUST_GRAPH}._pred"),
+        backing=(f"{_TRUST_GRAPH}._succ",),
         caches=((_TRUST_GRAPH, ("_pos_succ",)),),
         invalidate_hint=(
             "maintain _pos_succ in the same mutator, as add_edge/remove_edge do"
@@ -193,7 +192,7 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
     ),
     CacheSpec(
         name="trust-packed-matrix",
-        backing=(f"{_TRUST_GRAPH}._succ", f"{_TRUST_GRAPH}._pred"),
+        backing=(f"{_TRUST_GRAPH}._succ",),
         caches=((_TRUST_GRAPH, ("_packed",)),),
         invalidate_hint=(
             "drop _packed in the same mutator, as add_edge/remove_edge do"
@@ -213,15 +212,6 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
         ),
         invalidate_hint=(
             "TaxonomyProfileBuilder.invalidate() / TopicDiversifier.invalidate()"
-        ),
-    ),
-    CacheSpec(
-        name="packed-matrix-lazy-fields",
-        backing=(f"{_PROFILE_MATRIX}.indices", f"{_PROFILE_MATRIX}.entry_row"),
-        caches=((_PROFILE_MATRIX, ("_by_topic",)),),
-        invalidate_hint=(
-            "ProfileMatrix.splice, or drop its lazy topic index _by_topic "
-            "in the same call that rewrites the CSR entries"
         ),
     ),
 )

@@ -426,17 +426,16 @@ class PureCFRecommender(Recommender):
 
         This is the all-pairs hot path: with ``engine="auto"`` the whole
         community is scored in one kernel call against the cached
-        :class:`~repro.perf.matrix.ProfileMatrix`, with inverted-index
-        pruning of zero-overlap candidates where that is exact.
+        :class:`~repro.perf.matrix.ProfileMatrix`.
         """
         assert self.similarity_measure is not None
         domain = self._domain()
         own = self._profile(agent)
         if engine_path(self.engine) == "numpy":
-            from ..perf.kernels import community_scores
+            from ..perf.kernels import similarity_many
 
             matrix = self._matrix()
-            values = community_scores(
+            values = similarity_many(
                 own, matrix, measure=self.similarity_measure, domain=domain
             )
             scored = [

@@ -234,15 +234,17 @@ def top_similar(
         return []
     if engine_path(engine) == "numpy":
         # Imported lazily: repro.perf.kernels imports this module.
-        from ..perf.kernels import rank_profiles
+        from ..perf.kernels import similarity_many
+        from ..perf.matrix import ProfileMatrix
 
-        return rank_profiles(
-            target, candidates, measure=measure, domain=domain, limit=limit
-        )
-    scored = [
-        (identifier, func(target, profile, domain))
-        for identifier, profile in candidates.items()
-    ]
+        matrix = ProfileMatrix.from_profiles(candidates)
+        values = similarity_many(target, matrix, measure=measure, domain=domain)
+        scored = list(zip(matrix.ids, values.tolist()))
+    else:
+        scored = [
+            (identifier, func(target, profile, domain))
+            for identifier, profile in candidates.items()
+        ]
     if limit is not None and limit < len(scored):
         # Heap selection: don't sort the whole community for a top-N ask.
         return heapq.nsmallest(limit, scored, key=lambda item: (-item[1], item[0]))

@@ -21,7 +21,7 @@ here guarantee that.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from ..core.models import Agent, Dataset, Product, Rating, TrustStatement
@@ -177,11 +177,3 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     if taxonomy is None:
         raise ValueError(f"{path}: no topic records found")
     return taxonomy
-
-
-def iter_records(lines: Iterable[str]) -> Iterator[dict]:
-    """Parse JSONL *lines* into records (utility for streaming consumers)."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield json.loads(line)

@@ -14,8 +14,9 @@ schema.  This module is that schema's single owner:
   :func:`repro.obs.profile.profile_trace`).
 * :func:`write_bench` / :func:`validate_bench` own the versioned
   on-disk document (schema id :data:`BENCH_SCHEMA`, ``repro-bench/1``).
-  The three legacy writers (trust_scale, ex19, ex22) still keep their
-  own frozen schemas; every new trajectory goes through this helper.
+  One legacy writer, ``benchmarks/bench_trust_scale.py``, still keeps
+  its own frozen schema (``BENCH_trust_scale.json``); every new
+  trajectory goes through this helper.
 * ``scripts/check_bench_regression.py`` compares a fresh document
   against the committed baseline with noise-aware thresholds and, on
   failure, prints the dominant-span attribution — the regression names

@@ -3,8 +3,10 @@
 The paper prints no numeric tables — its single worked artifact is
 Example 1 — so each experiment here operationalizes one of its claims as
 a measurable table.  Every function is deterministic given its seed,
-returns a :class:`~repro.evaluation.protocol.Table`, and is wrapped by
-one benchmark under ``benchmarks/`` plus assertions under ``tests/``.
+returns a :class:`~repro.evaluation.protocol.Table`, and is listed in
+:mod:`repro.evaluation.registry`, which ``repro experiment`` and
+``scripts/generate_experiments_md.py`` read; assertions on each table's
+shape live under ``tests/``.
 
 All experiments accept an optional pre-generated community so callers can
 share the (comparatively expensive) generation step; defaults are sized
@@ -342,10 +344,11 @@ def run_ex04_attack_resistance(
             f"{scalar_frac:.3f} ({len(admitted)})",
         )
     table.add_note(
-        "expected shape: with 0 bridges no metric admits sybils; group "
-        "metrics (Appleseed, Advogato) bound admission by the bridge cut "
-        "while the scalar path metric admits the whole region once any "
-        "high-trust path exists."
+        "expected shape: with 0 bridges no metric admits sybils. As bridges "
+        "grow, the scalar path metric, which no cut bounds, admits sybils "
+        "first and the largest share (most of the sybil region at the "
+        "largest count); Advogato admits none, and Appleseed and PageRank "
+        "admit sybils only at the largest count."
     )
     return table
 

@@ -21,7 +21,7 @@ from ..core.similarity import top_similar
 from ..datasets.amazon import book_taxonomy_config
 from ..datasets.generators import CommunityConfig, generate_community
 from ..obs import Stopwatch, get_tracer
-from ..perf.kernels import community_scores
+from ..perf.kernels import similarity_many
 from ..perf.matrix import ProfileMatrix
 from .protocol import Table
 
@@ -80,7 +80,7 @@ def run_ex19_engine(
             with numpy_watch:
                 matrix = ProfileMatrix.from_profiles(profiles)
                 numpy_scores = [
-                    community_scores(
+                    similarity_many(
                         profiles[agent], matrix, measure=measure, domain=domain
                     )
                     for agent in targets

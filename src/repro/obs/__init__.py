@@ -13,9 +13,9 @@ Three pieces, all dependency-free:
   managers producing nested, seeded-run-reproducible span trees
   (sequential ids, no wall clock in span identity, monotonic durations
   only) with a JSONL exporter and schema validator;
-* :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters,
-  gauges, and fixed-bucket histograms with Prometheus text exposition
-  and a console summary;
+* :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters
+  and fixed-bucket histograms with a JSON snapshot and a console
+  summary;
 * :mod:`~repro.obs.stopwatch` — :class:`Stopwatch` / :func:`measure`,
   the single monotonic-timing helper (``time.time`` is wall clock and
   never times a duration).
@@ -28,7 +28,7 @@ rebinds both via :func:`tracing` / :func:`collecting` for ``--trace`` /
 ``--metrics`` runs.
 """
 
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 from .profile import (
     NameDelta,
     SpanNode,
@@ -70,7 +70,6 @@ from .trace import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
     "MEMORY_ATTR",
     "MetricsRegistry",

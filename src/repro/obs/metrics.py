@@ -1,22 +1,18 @@
-"""Counters, gauges, and fixed-bucket histograms for the whole stack.
+"""Counters and fixed-bucket histograms for the whole stack.
 
-A :class:`MetricsRegistry` is a flat, named collection of three
-instrument kinds — deliberately the minimal subset of the Prometheus
-model that the reproduction needs:
+A :class:`MetricsRegistry` is a flat, named collection of two
+instrument kinds, the ones the instrumented code records:
 
 * :class:`Counter` — monotonically increasing totals (sweeps run,
   cache hits, breaker trips);
-* :class:`Gauge` — last-written values (workers in use, community
-  size);
 * :class:`Histogram` — fixed cumulative buckets plus sum and count
   (neighborhood sizes, per-query latencies).  Buckets are fixed at
   creation so two runs aggregate identically.
 
-Exporters: :meth:`MetricsRegistry.to_prometheus` renders the standard
-text exposition format (``# TYPE`` lines, ``_bucket``/``_sum``/
-``_count`` series), :meth:`MetricsRegistry.render_summary` a human
-console table.  Metric *names* use dotted paths (``appleseed.sweeps``);
-the Prometheus exporter mangles them to legal identifiers.
+Exporters: :meth:`MetricsRegistry.snapshot` returns a JSON-ready dict
+and :meth:`MetricsRegistry.render_summary` a human console table, which
+``--metrics`` prints.  Metric *names* use dotted paths
+(``appleseed.sweeps``).
 
 Everything here is deterministic: iteration is sorted by name, floats
 render via ``repr``-stable formatting, and no wall-clock value is ever
@@ -30,7 +26,6 @@ import math
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -55,19 +50,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative increment {amount}")
         self.value += amount
-
-
-class Gauge:
-    """A last-written value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -114,14 +96,6 @@ class Histogram:
         return self.total / self.observations if self.observations else 0.0
 
 
-def _prometheus_name(name: str) -> str:
-    """A legal Prometheus identifier for a dotted metric name."""
-    mangled = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if mangled and mangled[0].isdigit():
-        mangled = "_" + mangled
-    return mangled or "_"
-
-
 def _format_value(value: float) -> str:
     """Integer-valued floats render as integers; others via repr."""
     if value == int(value) and abs(value) < 1e15:
@@ -130,7 +104,7 @@ def _format_value(value: float) -> str:
 
 
 class MetricsRegistry:
-    """A named, flat collection of counters, gauges, and histograms.
+    """A named, flat collection of counters and histograms.
 
     Instruments are created on first use (``registry.counter(name)``)
     and live for the registry's lifetime.  Asking for an existing name
@@ -139,33 +113,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- instrument access ---------------------------------------------------
 
-    def _check_kind(self, name: str, kind: str) -> None:
-        owners = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }
-        for other, table in owners.items():
-            if other != kind and name in table:
-                raise ValueError(f"metric {name!r} already registered as a {other}")
-
     def counter(self, name: str) -> Counter:
         existing = self._counters.get(name)
         if existing is None:
-            self._check_kind(name, "counter")
+            if name in self._histograms:
+                raise ValueError(f"metric {name!r} already registered as a histogram")
             existing = self._counters[name] = Counter(name)
-        return existing
-
-    def gauge(self, name: str) -> Gauge:
-        existing = self._gauges.get(name)
-        if existing is None:
-            self._check_kind(name, "gauge")
-            existing = self._gauges[name] = Gauge(name)
         return existing
 
     def histogram(
@@ -173,18 +130,18 @@ class MetricsRegistry:
     ) -> Histogram:
         existing = self._histograms.get(name)
         if existing is None:
-            self._check_kind(name, "histogram")
+            if name in self._counters:
+                raise ValueError(f"metric {name!r} already registered as a counter")
             existing = self._histograms[name] = Histogram(name, buckets)
         return existing
 
     def reset(self) -> None:
         """Drop every instrument (a fresh registry without rebinding)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
     # -- export --------------------------------------------------------------
 
@@ -194,9 +151,6 @@ class MetricsRegistry:
             "counters": {
                 name: counter.value
                 for name, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: gauge.value for name, gauge in sorted(self._gauges.items())
             },
             "histograms": {
                 name: {
@@ -209,29 +163,6 @@ class MetricsRegistry:
             },
         }
 
-    def to_prometheus(self) -> str:
-        """The text exposition format, instruments sorted by name."""
-        lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            identifier = _prometheus_name(name)
-            lines.append(f"# TYPE {identifier} counter")
-            lines.append(f"{identifier} {_format_value(counter.value)}")
-        for name, gauge in sorted(self._gauges.items()):
-            identifier = _prometheus_name(name)
-            lines.append(f"# TYPE {identifier} gauge")
-            lines.append(f"{identifier} {_format_value(gauge.value)}")
-        for name, histogram in sorted(self._histograms.items()):
-            identifier = _prometheus_name(name)
-            lines.append(f"# TYPE {identifier} histogram")
-            for bound, cumulative in histogram.cumulative():
-                label = "+Inf" if math.isinf(bound) else _format_value(bound)
-                lines.append(
-                    f'{identifier}_bucket{{le="{label}"}} {cumulative}'
-                )
-            lines.append(f"{identifier}_sum {_format_value(histogram.total)}")
-            lines.append(f"{identifier}_count {histogram.observations}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def render_summary(self) -> str:
         """A human console summary: one aligned section per kind."""
         sections: list[str] = []
@@ -242,13 +173,6 @@ class MetricsRegistry:
                 for name, counter in sorted(self._counters.items())
             ]
             sections.append("counters:\n" + "\n".join(rows))
-        if self._gauges:
-            width = max(len(name) for name in self._gauges)
-            rows = [
-                f"  {name.ljust(width)}  {_format_value(gauge.value)}"
-                for name, gauge in sorted(self._gauges.items())
-            ]
-            sections.append("gauges:\n" + "\n".join(rows))
         if self._histograms:
             width = max(len(name) for name in self._histograms)
             rows = [

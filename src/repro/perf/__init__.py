@@ -3,9 +3,9 @@
 The community-scale hot path — all-pairs profile similarity and the
 group trust metrics — phrases as numpy array operations without
 changing a single numeric result.  See :mod:`repro.perf.matrix` (packed
-profiles), :mod:`repro.perf.kernels` (vectorized Pearson/cosine + heap
-top-k) and :mod:`repro.perf.trustmatrix` (CSR-packed web of trust +
-Appleseed, PageRank and Advogato kernels).
+profiles), :mod:`repro.perf.kernels` (vectorized Pearson/cosine, one
+target against many rows) and :mod:`repro.perf.trustmatrix` (CSR-packed
+web of trust + Appleseed, PageRank and Advogato kernels).
 
 These kernels are the one production path: every ``engine="auto"``
 switch runs them, and ``engine="python"`` selects the dict reference
@@ -14,15 +14,7 @@ implementations they are tested against (:data:`repro.core.similarity.ENGINES`).
 
 from __future__ import annotations
 
-from .kernels import (
-    community_scores,
-    cosine_many,
-    pearson_many,
-    rank_profiles,
-    similarity_many,
-    top_k,
-    top_k_pairs,
-)
+from .kernels import cosine_many, pearson_many, similarity_many
 from .matrix import ProfileMatrix, TopicVocabulary
 from .trustmatrix import TrustMatrix
 
@@ -30,11 +22,7 @@ __all__ = [
     "ProfileMatrix",
     "TopicVocabulary",
     "TrustMatrix",
-    "community_scores",
     "cosine_many",
     "pearson_many",
-    "rank_profiles",
     "similarity_many",
-    "top_k",
-    "top_k_pairs",
 ]

@@ -28,24 +28,18 @@ were given, nor on which other rows are scored with it.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
 from ..core.similarity import MIN_INTERSECTION
-from ..obs import get_metrics
 from .matrix import ProfileMatrix
 from .trustmatrix import _row_positions
 
 __all__ = [
-    "community_scores",
     "cosine_many",
     "pearson_many",
-    "rank_profiles",
     "similarity_many",
-    "top_k",
-    "top_k_pairs",
 ]
 
 
@@ -204,101 +198,3 @@ def similarity_many(
     if measure == "cosine":
         return cosine_many(target, matrix, rows=rows, domain=domain)
     raise ValueError(f"unknown similarity measure {measure!r}")
-
-
-def _prunable(measure: str, domain: str) -> bool:
-    """Whether zero support overlap implies similarity exactly 0.0.
-
-    True for cosine in both domains (the dot product is 0) and for
-    intersection-domain Pearson (fewer than ``MIN_INTERSECTION`` shared
-    keys).  Union-domain Pearson is *not* prunable: disjoint supports
-    genuinely anticorrelate there.
-    """
-    return not (measure == "pearson" and domain == "union")
-
-
-def community_scores(
-    target: Mapping[str, float],
-    matrix: ProfileMatrix,
-    measure: str = "pearson",
-    domain: str = "union",
-) -> np.ndarray:
-    """Similarity of *target* to every row, pruning where that is exact.
-
-    For prunable measure/domain combinations the inverted topic index
-    restricts kernel work to rows sharing at least one key with the
-    target; everyone else scores 0.0 by construction.
-    """
-    metrics = get_metrics()
-    if _prunable(measure, domain):
-        rows = matrix.overlapping_rows(target)
-        metrics.counter("similarity.index_scored").inc(len(rows))
-        metrics.counter("similarity.index_pruned").inc(len(matrix) - len(rows))
-        out = np.zeros(len(matrix))
-        if len(rows):
-            out[rows] = similarity_many(
-                target, matrix, measure=measure, domain=domain, rows=rows
-            )
-        return out
-    metrics.counter("similarity.index_scored").inc(len(matrix))
-    return similarity_many(target, matrix, measure=measure, domain=domain)
-
-
-def rank_profiles(
-    target: Mapping[str, float],
-    candidates: Mapping[str, Mapping[str, float]],
-    measure: str = "pearson",
-    domain: str = "union",
-    limit: int | None = None,
-) -> list[tuple[str, float]]:
-    """One-shot ranking: pack, score, heap-select.
-
-    The packed path of :func:`repro.core.similarity.top_similar`; the
-    candidate matrix lives only for this call.
-    """
-    matrix = ProfileMatrix.from_profiles(candidates)
-    scores = community_scores(target, matrix, measure=measure, domain=domain)
-    return top_k(matrix.ids, scores, limit)
-
-
-def top_k(
-    identifiers: Sequence[str],
-    scores: np.ndarray | Sequence[float],
-    limit: int | None = None,
-) -> list[tuple[str, float]]:
-    """The *limit* best ``(identifier, score)`` pairs, best first.
-
-    Exactly equivalent to sorting all pairs by ``(-score, identifier)``
-    and truncating, but selects with a partition/heap instead of sorting
-    the whole community.  Boundary ties are resolved by identifier, so
-    the result is deterministic and identical to the full sort.
-    """
-    scores = np.asarray(scores, dtype=float)
-    n = len(identifiers)
-    if limit is not None and limit <= 0:
-        return []
-    if limit is None or limit >= n:
-        order = sorted(range(n), key=lambda i: (-scores[i], identifiers[i]))
-        return [(identifiers[i], float(scores[i])) for i in order]
-    # Partition on score alone, then pull in *every* row tied with the
-    # k-th score so identifier tie-breaks can't be cut off arbitrarily.
-    boundary = np.argpartition(-scores, limit - 1)[:limit]
-    threshold = scores[boundary].min()
-    candidates = np.flatnonzero(scores >= threshold).tolist()
-    candidates.sort(key=lambda i: (-scores[i], identifiers[i]))
-    return [(identifiers[i], float(scores[i])) for i in candidates[:limit]]
-
-
-def top_k_pairs(
-    pairs: Sequence[tuple[str, float]], limit: int | None = None
-) -> list[tuple[str, float]]:
-    """Heap-based top-*limit* over ``(identifier, score)`` pairs.
-
-    The pure-Python counterpart of :func:`top_k` for callers that already
-    hold scored pairs; equivalent to the full ``(-score, id)`` sort.
-    """
-    if limit is None or limit >= len(pairs):
-        return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-    if limit <= 0:
-        return []
-    return heapq.nsmallest(limit, pairs, key=lambda kv: (-kv[1], kv[0]))

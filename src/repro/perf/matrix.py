@@ -11,9 +11,7 @@ handful of per-row sums over a packed representation:
   line up;
 * :class:`ProfileMatrix` packs one community's sparse profiles as CSR
   rows named as in :class:`~repro.perf.trustmatrix.TrustMatrix`, with
-  row sums, squared sums, norms and support sizes precomputed, and a
-  lazy inverted topic index used to prune zero-overlap candidates
-  before any kernel runs.
+  row sums, squared sums, norms and support sizes precomputed.
 
 An entry records *key presence*, not a non-zero value: a profile may
 carry an explicit ``0.0`` score, which counts toward the
@@ -127,9 +125,6 @@ class ProfileMatrix:
             self.entry_row, weights=values * values, minlength=rows
         )
         self.row_norm = np.sqrt(self.row_sumsq)
-        # The inverted topic index, built on first use and dropped by
-        # every splice: entry columns ascending, with each entry's row.
-        self._by_topic: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -202,7 +197,6 @@ class ProfileMatrix:
             self._row_of.pop(identifier, None)
             for i in range(row, len(self.ids)):
                 self._row_of[self.ids[i]] = i
-        self._by_topic = None
 
     # -- shape and lookups ----------------------------------------------------
 
@@ -223,37 +217,3 @@ class ProfileMatrix:
         return np.array(
             [self._row_of[identifier] for identifier in identifiers], dtype=np.intp
         )
-
-    # -- inverted index -------------------------------------------------------
-
-    def _topic_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry columns in ascending order and each entry's row: one
-        stable argsort by column, kept until the next splice."""
-        if self._by_topic is None:
-            order = np.argsort(self.indices, kind="stable")
-            self._by_topic = (self.indices[order], self.entry_row[order])
-        return self._by_topic
-
-    def overlapping_rows(self, profile: Mapping[str, float]) -> np.ndarray:
-        """Rows whose support shares at least one key with *profile*.
-
-        This is the pre-kernel pruning step: for measures where zero
-        support overlap implies similarity exactly 0.0 (cosine in either
-        domain, intersection-domain Pearson), only these rows need a
-        kernel evaluation.
-        """
-        columns, rows = self._topic_index()
-        cols = np.array(
-            [
-                col
-                for topic in profile
-                if (col := self.vocabulary.index_of(topic)) is not None
-            ],
-            dtype=np.int64,
-        )
-        starts = np.searchsorted(columns, cols, side="left").tolist()
-        ends = np.searchsorted(columns, cols, side="right").tolist()
-        hits = [rows[start:end] for start, end in zip(starts, ends) if end > start]
-        if not hits:
-            return np.empty(0, dtype=np.intp)
-        return np.unique(np.concatenate(hits))

@@ -6,8 +6,8 @@ documents are built from: node types (:class:`URIRef`, :class:`Literal`,
 :class:`BNode`) and an indexed, in-memory :class:`Graph` supporting triple
 pattern matching.  It deliberately implements only the subset of RDF the
 system needs — no inference, no named graphs — but implements that subset
-carefully (hashable immutable terms, three complementary indexes, set
-semantics for triples).
+carefully (hashable immutable terms, subject- and predicate-first
+indexes, set semantics for triples).
 
 The design mirrors rdflib's public API closely enough that code written
 against this module would port to rdflib with mechanical changes only.
@@ -230,21 +230,22 @@ TriplePattern = tuple[Optional[Node], Optional[Node], Optional[Node]]
 
 
 class Graph:
-    """An in-memory set of RDF triples with SPO/POS/OSP indexes.
+    """An in-memory set of RDF triples with SPO/POS indexes.
 
-    The three indexes cover every triple pattern with at least one bound
-    term in a single dictionary walk; fully unbound patterns iterate the
-    triple set directly.  Triples have set semantics: adding a duplicate is
-    a no-op and ``len`` counts distinct triples.
+    The two indexes answer every pattern with a bound subject or
+    predicate in a single dictionary walk, the patterns the homepage
+    parsers ask.  An object-only pattern scans the subject's index
+    (``(s, ?, o)``) or the triple set (``(?, ?, o)``).  Triples have set
+    semantics: adding a duplicate is a no-op and ``len`` counts distinct
+    triples.
     """
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp")
+    __slots__ = ("_triples", "_spo", "_pos")
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None) -> None:
         self._triples: set[Triple] = set()
         self._spo: dict[Node, dict[Node, set[Node]]] = {}
         self._pos: dict[Node, dict[Node, set[Node]]] = {}
-        self._osp: dict[Node, dict[Node, set[Node]]] = {}
         if triples is not None:
             for triple in triples:
                 self.add(triple)
@@ -279,7 +280,6 @@ class Graph:
         self._triples.add(triple)
         self._spo.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
         self._pos.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
-        self._osp.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
         return self
 
     def remove(self, pattern: TriplePattern) -> int:
@@ -294,7 +294,6 @@ class Graph:
         self._triples.discard(triple)
         self._prune(self._spo, subject, predicate, obj)
         self._prune(self._pos, predicate, obj, subject)
-        self._prune(self._osp, obj, subject, predicate)
 
     @staticmethod
     def _prune(
@@ -337,8 +336,9 @@ class Graph:
             for s in self._pos.get(predicate, {}).get(obj, ()):
                 yield (s, predicate, obj)
         elif subject is not None and obj is not None:
-            for p in self._osp.get(obj, {}).get(subject, ()):
-                yield (subject, p, obj)
+            for p, objects in self._spo.get(subject, {}).items():
+                if obj in objects:
+                    yield (subject, p, obj)
         elif subject is not None:
             for p, objects in self._spo.get(subject, {}).items():
                 for o in objects:
@@ -348,9 +348,9 @@ class Graph:
                 for s in subjects:
                     yield (s, predicate, o)
         elif obj is not None:
-            for s, predicates in self._osp.get(obj, {}).items():
-                for p in predicates:
-                    yield (s, p, obj)
+            for triple in self._triples:
+                if triple[2] == obj:
+                    yield triple
         else:
             yield from self._triples
 

@@ -10,7 +10,6 @@ provided for human inspection only.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 
 from .rdf import BNode, Graph, Literal, Node, Triple, URIRef
 
@@ -144,17 +143,3 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
             lines.append(f"    {abbreviate(predicate)} {abbreviate(obj)}{terminator}")
         lines.append("")
     return "\n".join(lines)
-
-
-def graphs_isomorphic_simple(left: Graph, right: Graph) -> bool:
-    """Ground-triple equality check (no blank-node bijection search).
-
-    Sufficient for this codebase because all published documents use
-    deterministic blank-node labels.
-    """
-    return set(left) == set(right)
-
-
-def load_ntriples(lines: Iterable[str]) -> Graph:
-    """Parse an iterable of N-Triples *lines* (convenience for file objects)."""
-    return parse_ntriples("\n".join(lines))

@@ -31,7 +31,7 @@ __all__ = ["TrustGraph"]
 
 
 class TrustGraph:
-    """Directed graph of trust statements with O(1) neighbor access.
+    """Directed graph of trust statements with O(1) successor access.
 
     Edges carry a single weight; re-adding an edge overwrites (a newer
     published trust statement supersedes the old one).  Nodes exist as
@@ -46,7 +46,6 @@ class TrustGraph:
 
     def __init__(self) -> None:
         self._succ: dict[str, dict[str, float]] = {}
-        self._pred: dict[str, dict[str, float]] = {}
         # Positive-only successor views, built on demand and memoized.
         # The group trust metrics call :meth:`positive_successors` inside
         # their innermost loops (once per node per Appleseed quota, once
@@ -72,7 +71,6 @@ class TrustGraph:
     def _insert_node(self, node: str) -> None:
         """Add a node the graph lacks."""
         self._succ[node] = {}
-        self._pred[node] = {}
         self._pos_succ.pop(node, None)
         self._packed = None
 
@@ -88,14 +86,12 @@ class TrustGraph:
         if target not in self._succ:
             self._insert_node(target)
         self._succ[source][target] = weight
-        self._pred[target][source] = weight
         self._pos_succ.pop(source, None)
         self._packed = None
 
     def remove_edge(self, source: str, target: str) -> None:
         """Retract a trust statement; missing edges raise :class:`KeyError`."""
         del self._succ[source][target]
-        del self._pred[target][source]
         self._pos_succ.pop(source, None)
         self._packed = None
 
@@ -145,8 +141,16 @@ class TrustGraph:
         return self._succ.get(node, {})
 
     def predecessors(self, node: str) -> Mapping[str, float]:
-        """All incoming statements about *node*."""
-        return self._pred.get(node, {})
+        """All incoming statements about *node*.
+
+        No trust metric reads a node's incoming statements, so the graph
+        keeps no in-adjacency: this scans every node's successors, O(edges).
+        """
+        return {
+            source: targets[node]
+            for source, targets in self._succ.items()
+            if node in targets
+        }
 
     def positive_successors(self, node: str) -> dict[str, float]:
         """Outgoing statements with strictly positive weight.
@@ -184,7 +188,7 @@ class TrustGraph:
         return len(self._succ.get(node, {}))
 
     def in_degree(self, node: str) -> int:
-        return len(self._pred.get(node, {}))
+        return len(self.predecessors(node))
 
     # -- partial exploration ----------------------------------------------------
 

@@ -55,8 +55,8 @@ class CrawlReport:
     ``unreachable`` (transient retries exhausted, site outages, or open
     circuit breakers).  ``degraded`` lists the subset of failed URIs the
     crawl kept serving from a stale replica; ``quarantined`` lists URIs
-    whose freshly fetched body was corrupt and was held aside to protect
-    an existing good replica.  The counters (``retries``,
+    whose freshly fetched body was corrupt and was dropped to protect an
+    existing good replica.  The counters (``retries``,
     ``transient_failures``, ``backoff_ticks``, ``breaker_trips``,
     ``breaker_short_circuits``) aggregate the resilience machinery's
     work during the pass.
@@ -406,8 +406,8 @@ class Crawler:
         """Fetch *uri* through the resilient fetcher into the store.
 
         Returns ``(status, cost)``: ``"stored"`` (fresh replica, possibly
-        unparseable but recorded), ``"quarantined"`` (corrupt body held
-        aside to protect an existing good replica), or ``"failed"``
+        unparseable but recorded), ``"quarantined"`` (corrupt body dropped
+        to protect an existing good replica), or ``"failed"``
         (nothing transferred; the caller decides about degradation).
         *cost* is the budget charge — zero for failures.
         """
@@ -430,8 +430,8 @@ class Crawler:
                     parse_agent_homepage(graph)
             except (ParseError, ValueError):
                 if uri in self.store:
-                    # Never clobber a good replica with a corrupt download.
-                    self.store.quarantine(uri, result.body)
+                    # Never clobber a good replica with a corrupt download:
+                    # drop the body and report the URI.
                     stats.quarantined.append(uri)
                     return "quarantined", outcome.cost
                 # Store anyway: assembly will skip it, a later refresh may

@@ -68,7 +68,8 @@ class ReplicationReport:
     but aggregate the whole pass (global documents + homepage crawl +
     weblog fetches): ``unreachable`` lists URIs whose fetch failed for
     infrastructure reasons, ``degraded`` the subset served from a stale
-    replica instead, and ``quarantined`` corrupt downloads held aside.
+    replica instead, and ``quarantined`` the URIs whose corrupt download
+    was dropped to keep a good replica.
     """
 
     homepage_fetches: int

@@ -7,16 +7,15 @@ fetch tick), parses them on demand, and assembles the partial
 is the paper's central architectural point: recommendations are computed
 *locally* from a replica, never against the live Web.
 
-The store persists to JSON lines so a crawl can be resumed across
-processes.
+The replica lives in memory for the life of its crawler or agent.  The
+crawler drops a corrupt download of a URI the store already holds, so a
+torn fetch never clobbers a good replica.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from ..core.models import Dataset, Product
 from ..core.taxonomy import Taxonomy
@@ -55,9 +54,6 @@ class DocumentStore:
     def __init__(self) -> None:
         self._documents: dict[str, StoredDocument] = {}
         self._kinds: dict[str, str] = {}
-        self._quarantined: dict[str, str] = {}
-        #: ``(line number, reason)`` pairs for records skipped by :meth:`load`.
-        self.load_errors: list[tuple[int, str]] = []
 
     # -- replica maintenance ---------------------------------------------------
 
@@ -68,14 +64,12 @@ class DocumentStore:
         version: int,
         fetched_at: int,
         kind: str = "agent",
-        degraded: bool = False,
     ) -> None:
-        """Store (or refresh) the replica of *uri*."""
+        """Store (or refresh) the replica of *uri*, clearing any degraded stamp."""
         if kind not in ("agent", "taxonomy", "catalog", "weblog"):
             raise ValueError(f"unknown document kind {kind!r}")
         self._documents[uri] = StoredDocument(
-            uri=uri, body=body, version=version, fetched_at=fetched_at,
-            degraded=degraded,
+            uri=uri, body=body, version=version, fetched_at=fetched_at
         )
         self._kinds[uri] = kind
 
@@ -91,24 +85,11 @@ class DocumentStore:
         if document is not None and not document.degraded:
             self._documents[uri] = replace(document, degraded=True)
 
-    def quarantine(self, uri: str, body: str) -> None:
-        """Hold a corrupt fetched body aside without touching the replica.
-
-        A corrupted download must never clobber a good replica; assembly
-        ignores quarantined bodies entirely.  Re-quarantining keeps only
-        the newest body.
-        """
-        self._quarantined[uri] = body
-
     def degraded_uris(self) -> Iterator[str]:
         """URIs whose replica is currently stamped degraded."""
         for uri, document in self._documents.items():
             if document.degraded:
                 yield uri
-
-    def quarantined_uris(self) -> Iterator[str]:
-        """URIs with a quarantined (corrupt) body held aside."""
-        return iter(self._quarantined)
 
     def __contains__(self, uri: str) -> bool:
         return uri in self._documents
@@ -121,13 +102,6 @@ class DocumentStore:
         for uri in self._documents:
             if kind is None or self._kinds.get(uri) == kind:
                 yield uri
-
-    def staleness(self, uri: str, live_version: int) -> int:
-        """Versions the replica of *uri* lags behind *live_version*."""
-        document = self._documents.get(uri)
-        if document is None:
-            return live_version
-        return max(0, live_version - document.version)
 
     # -- dataset assembly ----------------------------------------------------------
 
@@ -180,57 +154,3 @@ class DocumentStore:
         except (ParseError, ValueError):
             failures.append(uri)
             return {}
-
-    # -- persistence ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the replica as JSON lines (deterministic order)."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            for uri in sorted(self._documents):
-                document = self._documents[uri]
-                record = {
-                    "uri": document.uri,
-                    "body": document.body,
-                    "version": document.version,
-                    "fetched_at": document.fetched_at,
-                    "kind": self._kinds[uri],
-                    "degraded": document.degraded,
-                }
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path, strict: bool = False) -> "DocumentStore":
-        """Restore a replica saved by :meth:`save`.
-
-        A crawl that crashed mid-save leaves truncated or garbled lines;
-        by default those are skipped and reported through the returned
-        store's :attr:`load_errors` (``(line number, reason)`` pairs) so
-        the surviving replica is still resumable.  ``strict=True``
-        restores the raise-on-first-error behavior.
-        """
-        store = cls()
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise ValueError("record is not a JSON object")
-                    store.put(
-                        uri=str(record["uri"]),
-                        body=str(record["body"]),
-                        version=int(record["version"]),
-                        fetched_at=int(record["fetched_at"]),
-                        kind=record.get("kind", "agent"),
-                        degraded=bool(record.get("degraded", False)),
-                    )
-                except (KeyError, TypeError, ValueError) as error:
-                    if strict:
-                        raise
-                    store.load_errors.append((line_number, str(error)))
-        return store

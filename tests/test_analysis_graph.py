@@ -260,5 +260,5 @@ class TestSelfCheck:
 
     def test_repo_is_clean_under_graph_rules(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        findings = lint_project(["src", "tests", "benchmarks", "examples"])
+        findings = lint_project(["src", "tests", "benchmarks", "examples", "scripts"])
         assert findings == [], "findings:\n" + "\n".join(f.render() for f in findings)

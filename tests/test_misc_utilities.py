@@ -93,34 +93,6 @@ class TestFallbackRecommender:
         assert len(recs) == 5
 
 
-class TestStreamHelpers:
-    def test_load_ntriples_from_lines(self):
-        from repro.semweb.serializer import load_ntriples
-
-        lines = [
-            "<http://e.org/s> <http://e.org/p> <http://e.org/o> .",
-            "# comment",
-        ]
-        graph = load_ntriples(lines)
-        assert len(graph) == 1
-
-    def test_graphs_isomorphic_simple(self):
-        from repro.semweb.rdf import Graph, URIRef
-        from repro.semweb.serializer import graphs_isomorphic_simple
-
-        t = (URIRef("u:s"), URIRef("u:p"), URIRef("u:o"))
-        assert graphs_isomorphic_simple(Graph([t]), Graph([t]))
-        assert not graphs_isomorphic_simple(Graph([t]), Graph())
-
-    def test_iter_records(self):
-        from repro.datasets.io import iter_records
-
-        lines = ['{"kind": "agent", "uri": "u:1"}', "", '{"kind": "trust"}']
-        records = list(iter_records(lines))
-        assert len(records) == 2
-        assert records[0]["uri"] == "u:1"
-
-
 class TestRandomRecommenderEdge:
     def test_empty_catalog(self):
         dataset = Dataset()

@@ -31,12 +31,6 @@ class TestInstruments:
         with pytest.raises(ValueError, match="negative"):
             MetricsRegistry().counter("c").inc(-1)
 
-    def test_gauge_keeps_last_value(self):
-        registry = MetricsRegistry()
-        registry.gauge("workers").set(4)
-        registry.gauge("workers").set(2)
-        assert registry.gauge("workers").value == 2.0
-
     def test_histogram_buckets_cumulative(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("sizes", buckets=(1.0, 10.0))
@@ -58,42 +52,27 @@ class TestInstruments:
         registry = MetricsRegistry()
         registry.counter("thing")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("thing")
+            registry.histogram("thing")
+        registry.histogram("other")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("other")
 
     def test_len_and_reset(self):
         registry = MetricsRegistry()
         registry.counter("a")
-        registry.gauge("b")
         registry.histogram("c")
-        assert len(registry) == 3
+        assert len(registry) == 2
         registry.reset()
         assert len(registry) == 0
 
 
 class TestExporters:
-    def test_prometheus_format(self):
-        registry = MetricsRegistry()
-        registry.counter("appleseed.sweeps").inc(12)
-        registry.gauge("parallel.workers").set(4)
-        registry.histogram("trust.neighborhood_size", buckets=(10.0,)).observe(3)
-        text = registry.to_prometheus()
-        assert "# TYPE appleseed_sweeps counter" in text
-        assert "appleseed_sweeps 12" in text
-        assert "parallel_workers 4" in text
-        assert 'trust_neighborhood_size_bucket{le="10"} 1' in text
-        assert 'trust_neighborhood_size_bucket{le="+Inf"} 1' in text
-        assert "trust_neighborhood_size_sum 3" in text
-        assert "trust_neighborhood_size_count 1" in text
-        assert text.endswith("\n")
-
     def test_summary_lists_every_kind(self):
         registry = MetricsRegistry()
         registry.counter("fetches").inc(7)
-        registry.gauge("depth").set(2)
         registry.histogram("sizes").observe(5)
         summary = registry.render_summary()
         assert "counters:" in summary and "fetches" in summary
-        assert "gauges:" in summary and "depth" in summary
         assert "histograms:" in summary and "count=1" in summary
 
     def test_empty_summary(self):
@@ -104,7 +83,7 @@ class TestExporters:
         registry.counter("n").inc()
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"n": 1.0}
-        assert set(snapshot) == {"counters", "gauges", "histograms"}
+        assert set(snapshot) == {"counters", "histograms"}
 
     def test_default_buckets_are_increasing(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 from repro.core.profiles import TaxonomyProfileBuilder, product_profile
 from repro.core.recommender import ProfileStore
 from repro.core.similarity import cosine, pearson, top_similar
-from repro.perf.kernels import (
-    community_scores,
-    rank_profiles,
-    similarity_many,
-    top_k,
-    top_k_pairs,
-)
+from repro.perf.kernels import similarity_many
 from repro.perf.matrix import ProfileMatrix, TopicVocabulary
 
 TOL = 1e-9
@@ -185,7 +179,7 @@ class TestCommunityAgreement:
         matrix = ProfileMatrix.from_profiles(profiles)
         for target_agent in agents[:5]:
             target = profiles[target_agent]
-            values = community_scores(target, matrix, measure=measure, domain=domain)
+            values = similarity_many(target, matrix, measure=measure, domain=domain)
             oracle = _oracle(measure)
             for identifier, value in zip(matrix.ids, values):
                 assert value == pytest.approx(
@@ -200,7 +194,7 @@ class TestCommunityAgreement:
         matrix = ProfileMatrix.from_profiles(profiles)
         for target_agent in agents[:5]:
             target = profiles[target_agent]
-            values = community_scores(target, matrix, measure=measure, domain=domain)
+            values = similarity_many(target, matrix, measure=measure, domain=domain)
             oracle = _oracle(measure)
             for identifier, value in zip(matrix.ids, values):
                 assert value == pytest.approx(
@@ -231,31 +225,6 @@ class TestCommunityAgreement:
         table = run_ex19_engine(sizes=(40, 80), principals=3)
         assert [row[0] for row in table.rows] == ["40", "80"]
         assert all(float(row[-1]) < TOL for row in table.rows)
-
-
-class TestEngineSelection:
-    def test_pruning_matches_unpruned_scores(self, small_community):
-        """The inverted-index shortcut may never change a single score."""
-        store = ProfileStore(
-            small_community.dataset, TaxonomyProfileBuilder(small_community.taxonomy)
-        )
-        agents = sorted(small_community.dataset.agents)
-        profiles = {agent: store.profile(agent) for agent in agents}
-        matrix = ProfileMatrix.from_profiles(profiles)
-        target = profiles[agents[0]]
-        for measure, domain in _COMBOS:
-            pruned = community_scores(target, matrix, measure=measure, domain=domain)
-            full = similarity_many(target, matrix, measure=measure, domain=domain)
-            assert np.array_equal(pruned, full)
-
-    def test_rank_profiles_limits(self):
-        candidates = {f"a{i}": {"t0": 1.0, "t1": float(i)} for i in range(6)}
-        target = {"t0": 1.0, "t1": 3.0}
-        full = rank_profiles(target, candidates, measure="cosine")
-        assert len(full) == 6
-        top2 = rank_profiles(target, candidates, measure="cosine", limit=2)
-        assert top2 == full[:2]
-        assert rank_profiles(target, candidates, limit=0) == []
 
 
 class TestProfileMatrix:
@@ -303,44 +272,11 @@ class TestProfileMatrix:
             {"a": {"t1": 1.0, "t99999": 2.0}, "b": {"t5": 0.5}}, vocabulary=vocab
         )
         assert matrix.width == 100_000
-        assert [matrix.ids[i] for i in matrix.overlapping_rows({"t5": 1.0})] == ["b"]
-        # Every array held, the lazy topic index included: a few per
-        # entry or row, where two dense rows would take 1.6 MB.
-        held = [
-            array
-            for value in vars(matrix).values()
-            for array in (value if isinstance(value, tuple) else (value,))
-            if isinstance(array, np.ndarray)
+        assert similarity_many({"t5": 1.0}, matrix, measure="cosine").tolist() == [
+            0.0,
+            1.0,
         ]
+        # Every array held: a few per entry or row, where two dense rows
+        # would take 1.6 MB.
+        held = [value for value in vars(matrix).values() if isinstance(value, np.ndarray)]
         assert sum(array.nbytes for array in held) < 1_000
-
-    def test_overlapping_rows(self):
-        matrix = ProfileMatrix.from_profiles(
-            {"a": {"x": 1.0}, "b": {"y": 1.0}, "c": {"x": 1.0, "z": 1.0}}
-        )
-        rows = matrix.overlapping_rows({"x": 5.0})
-        assert sorted(matrix.ids[i] for i in rows) == ["a", "c"]
-        assert len(matrix.overlapping_rows({"unseen": 1.0})) == 0
-
-
-class TestTopK:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        scores=st.lists(_dyadic, min_size=1, max_size=20),
-        limit=st.integers(min_value=0, max_value=25),
-    )
-    def test_equals_full_sort(self, scores, limit):
-        ids = [f"a{i}" for i in range(len(scores))]
-        expected = sorted(zip(ids, scores), key=lambda kv: (-kv[1], kv[0]))[:limit]
-        assert top_k(ids, scores, limit) == expected
-        assert top_k_pairs(list(zip(ids, scores)), limit) == expected
-
-    def test_no_limit_returns_everything_sorted(self):
-        ids = ["b", "a", "c"]
-        scores = [1.0, 1.0, 0.5]
-        assert top_k(ids, scores, None) == [("a", 1.0), ("b", 1.0), ("c", 0.5)]
-
-    def test_boundary_ties_break_on_identifier(self):
-        ids = ["d", "c", "b", "a"]
-        scores = [1.0, 0.5, 0.5, 0.5]
-        assert top_k(ids, scores, 2) == [("d", 1.0), ("a", 0.5)]

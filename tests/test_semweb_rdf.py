@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.semweb.rdf import BNode, Graph, Literal, URIRef
@@ -320,3 +320,77 @@ def test_remove_then_rescan_consistent(triples):
     assert set(graph) == reference
     for s, p, o in reference:
         assert o in set(graph.objects(s, p))
+
+
+# -- differential: the indexes against a plain set of triples ----------------
+
+_SUBJECTS = [uri("a"), uri("b"), BNode("b0")]
+_PREDICATES = [uri("p"), uri("q")]
+# uri("a") is a subject too; Literal(1) and Literal("1") differ by datatype.
+_OBJECTS = [uri("a"), uri("x"), Literal(1), Literal("1"), Literal(2)]
+_triple = st.tuples(
+    st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES), st.sampled_from(_OBJECTS)
+)
+_pattern = st.tuples(
+    st.none() | st.sampled_from(_SUBJECTS),
+    st.none() | st.sampled_from(_PREDICATES),
+    st.none() | st.sampled_from(_OBJECTS),
+)
+_write = st.one_of(
+    st.tuples(st.just("add"), _triple),
+    st.tuples(st.just("remove"), _pattern),
+    st.tuples(st.just("update"), st.lists(_triple, max_size=4), st.booleans()),
+)
+
+
+def _matches(triple, pattern) -> bool:
+    return all(term is None or term == part for term, part in zip(pattern, triple))
+
+
+def _distinct(items: list) -> set:
+    assert len(items) == len(set(items)), items
+    return set(items)
+
+
+def _assert_answers_match(graph: Graph, reference: set) -> None:
+    assert set(graph) == reference
+    assert len(graph) == len(reference)
+    for s in [None, *_SUBJECTS]:
+        for p in [None, *_PREDICATES]:
+            for o in [None, *_OBJECTS]:
+                pattern = (s, p, o)
+                matched = {t for t in reference if _matches(t, pattern)}
+                assert _distinct(list(graph.triples(pattern))) == matched, pattern
+                if s is None:
+                    assert _distinct(list(graph.subjects(p, o))) == {t[0] for t in matched}
+                if o is None:
+                    assert _distinct(list(graph.objects(s, p))) == {t[2] for t in matched}
+                if p is None:
+                    assert _distinct(list(graph.predicates(s, o))) == {t[1] for t in matched}
+                if pattern.count(None) == 1:
+                    completions = {t[pattern.index(None)] for t in matched}
+                    value = graph.value(s, p, o)
+                    assert (value in completions) if completions else value is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=st.lists(_write, max_size=20))
+def test_graph_answers_match_a_triple_set_after_every_write(writes):
+    """Random ``add`` / ``remove(pattern)`` / ``update`` interleavings: after
+    each write, every pattern of ``triples()``, ``subjects``, ``objects``,
+    ``predicates`` and ``value`` equals a filter over the triple set."""
+    graph = Graph()
+    reference: set = set()
+    for write in writes:
+        if write[0] == "add":
+            graph.add(write[1])
+            reference.add(write[1])
+        elif write[0] == "remove":
+            doomed = {t for t in reference if _matches(t, write[1])}
+            assert graph.remove(write[1]) == len(doomed)
+            reference -= doomed
+        else:
+            _, triples, as_graph = write
+            graph.update(Graph(triples) if as_graph else triples)
+            reference.update(triples)
+        _assert_answers_match(graph, reference)

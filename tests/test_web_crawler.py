@@ -334,7 +334,6 @@ class TestCrawlUnderFaults:
         report = corrupting.crawl([ALICE])
         assert ALICE in report.quarantined
         assert corrupting.store.get(ALICE).body == old_body
-        assert ALICE in corrupting.store.quarantined_uris()
         dataset, failures = corrupting.store.assemble_dataset()
         assert not failures
 

@@ -45,13 +45,6 @@ class TestReplica:
         assert list(store.uris(kind="taxonomy")) == ["u:t"]
         assert set(store.uris()) == {"u:a", "u:t"}
 
-    def test_staleness(self):
-        store = DocumentStore()
-        store.put("u:1", "x", version=2, fetched_at=1)
-        assert store.staleness("u:1", live_version=2) == 0
-        assert store.staleness("u:1", live_version=5) == 3
-        assert store.staleness("ghost", live_version=4) == 4
-
 
 class TestAssembly:
     def test_assemble_agents(self):
@@ -112,84 +105,13 @@ class TestAssembly:
         assert dataset.products == tiny_dataset.products
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        store = DocumentStore()
-        store.put("u:a", "body a", version=3, fetched_at=7, kind="agent")
-        store.put("u:t", "body t", version=1, fetched_at=2, kind="taxonomy")
-        path = tmp_path / "replica.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert len(loaded) == 2
-        assert loaded.get("u:a").version == 3
-        assert loaded.get("u:a").fetched_at == 7
-        assert loaded.kind("u:t") == "taxonomy"
-
-    def test_load_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "replica.jsonl"
-        path.write_text(
-            '{"uri": "u:1", "body": "x", "version": 1, "fetched_at": 1, "kind": "agent"}\n\n'
-        )
-        loaded = DocumentStore.load(path)
-        assert len(loaded) == 1
-
-
-class TestLoadHardening:
-    GOOD = '{"uri": "u:%d", "body": "x", "version": 1, "fetched_at": 1, "kind": "agent"}'
-
-    def test_corrupt_lines_skipped_and_reported(self, tmp_path):
-        path = tmp_path / "replica.jsonl"
-        path.write_text(
-            "\n".join(
-                [
-                    self.GOOD % 1,
-                    "{this is not json",
-                    '{"body": "missing uri field"}',
-                    self.GOOD % 2,
-                    '{"uri": "u:3", "body": "x", "version": "not-an-int", '
-                    '"fetched_at": 1, "kind": "agent"}',
-                ]
-            )
-            + "\n"
-        )
-        loaded = DocumentStore.load(path)
-        assert sorted(loaded.uris()) == ["u:1", "u:2"]
-        assert [line for line, _ in loaded.load_errors] == [2, 3, 5]
-
-    def test_strict_load_raises_on_first_corrupt_line(self, tmp_path):
-        path = tmp_path / "replica.jsonl"
-        path.write_text(self.GOOD % 1 + "\n{broken\n")
-        with pytest.raises(ValueError):
-            DocumentStore.load(path, strict=True)
-
-    def test_clean_load_reports_no_errors(self, tmp_path):
-        path = tmp_path / "replica.jsonl"
-        path.write_text(self.GOOD % 1 + "\n")
-        assert DocumentStore.load(path).load_errors == []
-
-
 class TestDegradationBookkeeping:
-    def test_degraded_flag_round_trips_through_jsonl(self, tmp_path):
-        store = DocumentStore()
-        store.put("u:a", "body", version=1, fetched_at=1, kind="agent")
-        store.mark_degraded("u:a")
-        path = tmp_path / "replica.jsonl"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert loaded.get("u:a").degraded
-        assert list(loaded.degraded_uris()) == ["u:a"]
-
     def test_fresh_put_clears_degraded(self):
         store = DocumentStore()
         store.put("u:a", "old", version=1, fetched_at=1, kind="agent")
         store.mark_degraded("u:a")
+        assert store.get("u:a").degraded
+        assert list(store.degraded_uris()) == ["u:a"]
         store.put("u:a", "new", version=2, fetched_at=2, kind="agent")
         assert not store.get("u:a").degraded
         assert list(store.degraded_uris()) == []
-
-    def test_quarantine_leaves_replica_untouched(self):
-        store = DocumentStore()
-        store.put("u:a", "good", version=1, fetched_at=1, kind="agent")
-        store.quarantine("u:a", "corrupt bytes")
-        assert store.get("u:a").body == "good"
-        assert list(store.quarantined_uris()) == ["u:a"]
