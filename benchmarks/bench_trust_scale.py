@@ -76,6 +76,7 @@ def _parity(python_results, numpy_results) -> float:
     for source, python in python_results.items():
         vectorized = numpy_results[source]
         assert vectorized.neighborhood(0.0) == python.neighborhood(0.0)
+        assert vectorized.ranks.keys() == python.ranks.keys()
         assert vectorized.iterations == python.iterations
         assert vectorized.converged == python.converged
         for agent in sorted(set(python.ranks) | set(vectorized.ranks)):

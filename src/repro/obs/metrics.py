@@ -5,7 +5,7 @@ instrument kinds, the ones the instrumented code records:
 
 * :class:`Counter` — monotonically increasing totals (sweeps run,
   cache hits, breaker trips);
-* :class:`Histogram` — fixed cumulative buckets plus sum and count
+* :class:`Histogram` — a count per fixed bucket plus sum and count
   (neighborhood sizes, per-query latencies).  Buckets are fixed at
   creation so two runs aggregate identically.
 
@@ -53,7 +53,7 @@ class Counter:
 
 
 class Histogram:
-    """Fixed cumulative buckets plus running sum and count."""
+    """A count per fixed bucket (+Inf last) plus running sum and count."""
 
     __slots__ = ("buckets", "counts", "name", "observations", "total")
 
@@ -69,7 +69,7 @@ class Histogram:
         self.observations = 0
 
     def observe(self, value: float) -> None:
-        """Record one observation into its (cumulative) bucket."""
+        """Record one observation into the first bucket that holds it."""
         if math.isnan(value):
             raise ValueError(f"histogram {self.name}: NaN observation")
         for index, bound in enumerate(self.buckets):
@@ -80,16 +80,6 @@ class Histogram:
             self.counts[-1] += 1
         self.total += value
         self.observations += 1
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(upper bound, cumulative count)`` pairs, +Inf last."""
-        pairs: list[tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.buckets, self.counts):
-            running += count
-            pairs.append((bound, running))
-        pairs.append((math.inf, running + self.counts[-1]))
-        return pairs
 
     @property
     def mean(self) -> float:

@@ -208,12 +208,9 @@ class ProfileMatrix:
         """Number of packed entries."""
         return int(self.indices.size)
 
-    def row_index(self, identifier: str) -> int:
-        """Row of *identifier*; raises :class:`KeyError` when absent."""
-        return self._row_of[identifier]
-
     def rows_for(self, identifiers: Iterable[str]) -> np.ndarray:
-        """Row indices for *identifiers*, in the given order."""
+        """Row indices for *identifiers*, in the given order; raises
+        :class:`KeyError` for an identifier without a row."""
         return np.array(
             [self._row_of[identifier] for identifier in identifiers], dtype=np.intp
         )

@@ -288,16 +288,19 @@ def appleseed_spread(
     normalization: str = "linear",
     backward_propagation: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
-    """Whole-graph Appleseed sweeps as sparse matrix-vector products.
+    """Whole-graph Appleseed sweeps: one gather and one ``np.bincount``
+    over the positive edges per sweep, membership marked after the loop.
 
-    Step-for-step mirror of ``Appleseed._compute_traced``: per sweep,
+    Step-for-step mirror of ``Appleseed._compute_python``: per sweep,
     every energized node keeps ``(1 - d)`` of its energy as rank
     (source excluded), forwards ``d`` split over its positive edges plus
     the virtual backward edge to the source, and the loop terminates on
-    two consecutive sub-threshold residuals or full dissipation.
-    Returns ``(rank, members, iterations, converged, history)`` where
-    ``members`` indexes the oracle's rank-dict keyset (source included)
-    so zero-rank frontier entries survive into the result.
+    two consecutive sub-threshold residuals or full dissipation.  An
+    idle node's edges add ``+0.0`` in edge order, so every sum has the
+    bits of summing the live edges alone.  Returns ``(rank, members,
+    iterations, converged, history)`` where ``members`` indexes the
+    oracle's rank-dict keyset (source included) so zero-rank frontier
+    entries survive.
     """
     n = len(matrix)
     d = spreading_factor
@@ -322,10 +325,13 @@ def appleseed_spread(
         den = np.bincount(edge_src, weights=weights, minlength=n) + backward
     else:
         den = np.bincount(edge_src, weights=weights, minlength=n)
+    # No quota (edgeless source; dead end without backward edges): no share.
+    forwards = den > 0.0
+    safe_den = np.where(forwards, den, 1.0)
+    dead = np.flatnonzero(~forwards)
 
     rank = np.zeros(n)
     member = np.zeros(n, dtype=bool)
-    member[source] = True
     energy = np.zeros(n)
     energy[source] = injection
     history: list[float] = []
@@ -335,31 +341,23 @@ def appleseed_spread(
         iterations += 1
         active = energy > 0.0
         member |= active
+        # Energies are never negative, so an idle node keeps 0.0.
         kept = (1.0 - d) * energy
-        kept[~active] = 0.0
         kept[source] = 0.0  # source rank is a backward-edge artifact
         rank += kept
         max_delta = float(kept.max(initial=0.0))
-        forwarding = active & (den > 0.0)
-        contrib = np.zeros(n)
-        contrib[forwarding] = d * energy[forwarding] / den[forwarding]
-        live = forwarding[edge_src]
-        if live.any():
-            hot_dst = edge_dst[live]
-            outgoing = np.bincount(
-                hot_dst,
-                weights=weights[live] * contrib[edge_src[live]],
-                minlength=n,
-            )
-            member[hot_dst] = True
-        else:
-            outgoing = np.zeros(n)
+        contrib = d * energy
+        contrib /= safe_den
+        if dead.size:
+            contrib[dead] = 0.0
+        outgoing = np.bincount(
+            edge_dst, weights=weights * contrib[edge_src], minlength=n
+        )
         if backward_propagation:
             # Every forwarding node except the source returns its
             # backward share (weight 1 / den) to the source.
-            returned = contrib.copy()
-            returned[source] = 0.0
-            outgoing[source] += returned.sum()
+            contrib[source] = 0.0
+            outgoing[source] += contrib.sum()
         history.append(max_delta)
         # Convergence requires TWO consecutive sub-threshold sweeps —
         # see the oracle for why one sweep can alias energy parked at
@@ -372,10 +370,12 @@ def appleseed_spread(
         ):
             converged = True
             break
-        if not bool(forwarding.any()):  # energy fully dissipated
+        if not bool((active & forwards).any()):  # energy fully dissipated
             converged = True
             break
         energy = outgoing
+    member[edge_dst[(member & forwards)[edge_src]]] = True
+    member[source] = True
     return rank, member, iterations, converged, history
 
 

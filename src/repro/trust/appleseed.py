@@ -110,11 +110,12 @@ class Appleseed:
         Appleseed paper (distrust must not propagate transitively —
         "the enemy of my enemy" is *not* my friend).
     engine:
-        ``"auto"`` (default) runs whole sweeps as sparse matrix-vector
-        products over the graph's packed
-        :class:`~repro.perf.trustmatrix.TrustMatrix`, or over the
-        ``max_depth`` horizon sliced out of it; the graph keeps that pack
-        until its next mutation.  ``"python"`` runs the dict loops below,
+        ``"auto"`` (default) runs each sweep as one gather and one
+        ``np.bincount`` over the edges of the graph's packed
+        :class:`~repro.perf.trustmatrix.TrustMatrix`, or of the
+        ``max_depth`` horizon sliced out of it, and marks the neighbourhood
+        once after the loop; the graph keeps that pack until its next
+        mutation.  ``"python"`` runs the dict loops below,
         the oracle.  Engines agree within 1e-9 (see
         :mod:`repro.trust.engine`).
     """

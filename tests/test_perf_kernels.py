@@ -246,10 +246,10 @@ class TestProfileMatrix:
     def test_rows_follow_sorted_ids_by_default(self):
         matrix = ProfileMatrix.from_profiles({"b": {"x": 1.0}, "a": {"y": 2.0}})
         assert matrix.ids == ["a", "b"]
-        assert matrix.row_index("b") == 1
+        assert matrix.rows_for(["b"])[0] == 1
         assert list(matrix.rows_for(["b", "a"])) == [1, 0]
         with pytest.raises(KeyError):
-            matrix.row_index("zz")
+            matrix.rows_for(["zz"])
 
     def test_shared_vocabulary_aligns_columns(self):
         vocab = TopicVocabulary()

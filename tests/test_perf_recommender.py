@@ -87,7 +87,7 @@ class TestProfileStoreInvalidate:
         before = store.profile(agent)
 
         def row_items():
-            row = matrix.row_index(agent)
+            row = matrix.rows_for([agent])[0]
             lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
             topics = matrix.vocabulary.topics
             columns, values = matrix.indices[lo:hi].tolist(), matrix.values[lo:hi].tolist()
@@ -101,8 +101,8 @@ class TestProfileStoreInvalidate:
             assert row_items() == list(store.profile(agent).items())
             fresh = ProfileStore(dataset, store.builder).matrix()
             assert matrix.ids == fresh.ids
-            assert matrix.row_sum[matrix.row_index(agent)] == fresh.row_sum[
-                fresh.row_index(agent)
+            assert matrix.row_sum[matrix.rows_for([agent])[0]] == fresh.row_sum[
+                fresh.rows_for([agent])[0]
             ]
         finally:
             dataset.remove_rating(agent, product)

@@ -126,6 +126,7 @@ def test_appleseed_numpy_matches_oracle(config, data):
     assert vectorized.iterations == python.iterations
     assert vectorized.converged == python.converged
     assert vectorized.neighborhood(0.0) == python.neighborhood(0.0)
+    assert vectorized.ranks.keys() == python.ranks.keys()  # zero-rank frontier too
     assert len(vectorized.history) == len(python.history)
     for numpy_delta, python_delta in zip(vectorized.history, python.history):
         assert numpy_delta == pytest.approx(python_delta, abs=1e-9)
@@ -176,6 +177,7 @@ class TestEdgeCases:
         vectorized = Appleseed(engine="auto", **config).compute(graph, source)
         _assert_rank_parity(python, vectorized)
         assert vectorized.neighborhood(0.0) == python.neighborhood(0.0)
+        assert vectorized.ranks.keys() == python.ranks.keys()
         return python
 
     def test_dangling_sink_absorbs_energy(self):
@@ -189,6 +191,16 @@ class TestEdgeCases:
         graph = TrustGraph.from_edges([("a", "b", 0.001)])
         result = self._both(graph, "a", normalization="nonlinear")
         assert result.ranks["b"] > 0.0
+
+    def test_last_sweep_keeps_its_zero_rank_frontier(self):
+        # Nodes first reached in the capped last sweep hold no rank yet,
+        # but the oracle keeps them as keys; so must the kernel.
+        graph = TrustGraph.from_edges(
+            [("a", "b", 0.8), ("b", "c", 0.8), ("b", "d", 0.8), ("c", "e", 0.8)]
+        )
+        for config in ({}, {"backward_propagation": False}, {"max_depth": 2}):
+            result = self._both(graph, "a", max_iterations=2, **config)
+            assert {"c", "d"} <= result.ranks.keys() - result.neighborhood(0.0)
 
     def test_disconnected_source_ranks_nobody(self):
         graph = TrustGraph.from_edges([("a", "b", 0.9)])
