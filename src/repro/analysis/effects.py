@@ -195,7 +195,7 @@ DEFAULT_CACHE_REGISTRY: tuple[CacheSpec, ...] = (
         backing=(f"{_TRUST_GRAPH}._succ",),
         caches=((_TRUST_GRAPH, ("_packed",)),),
         invalidate_hint=(
-            "drop _packed in the same mutator, as add_edge/remove_edge do"
+            "splice or drop _packed in the same mutator, as add_edge/remove_edge do"
         ),
     ),
     CacheSpec(

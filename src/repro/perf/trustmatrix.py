@@ -17,6 +17,11 @@ indices and stores
   ``neg_weights``) for the one-step distrust discount, which must see
   distrust statements even though spreading ignores them.
 
+No pack is ever mutated.  A write to a graph that holds a pack replaces
+it with a spliced copy (:meth:`TrustMatrix.spliced`): the written
+node's row re-read, any new nodes appended, and every array equal to a
+fresh :meth:`TrustMatrix.from_graph` of the graph as it now stands.
+
 The kernels below mirror :mod:`repro.trust` step by step — quota
 splitting, decay, backward-propagation injection, convergence residual —
 and are held to the same contract as :mod:`repro.perf.kernels`: the dict
@@ -32,10 +37,14 @@ typing only (``TYPE_CHECKING``), so the layering contract's
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import copy
+import itertools
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .matrix import _splice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime perf->trust edge
     from ..trust.graph import TrustGraph
@@ -59,7 +68,8 @@ class TrustMatrix:
     per-row target order follows ``positive_successors`` — both are load
     bearing for reproducing the dict engines' traversal orders.  The
     structure is immutable, so every source of a multi-source sweep
-    reads the same pack.
+    reads the same pack, and a trust write makes a spliced copy
+    (:meth:`spliced`) instead of changing the pack in place.
     """
 
     __slots__ = (
@@ -134,16 +144,14 @@ class TrustMatrix:
         neg_dst: list[int] = []
         neg_w: list[float] = []
         for i, node in enumerate(ids):
-            positives = graph.positive_successors(node)
+            positives, negatives = _read_row(graph, node)
             indptr[i + 1] = indptr[i] + len(positives)
-            for target, weight in positives.items():
-                col.append(index[target])
-                wgt.append(weight)
-            for target, weight in graph.successors(node).items():
-                if weight < 0.0:
-                    neg_src.append(i)
-                    neg_dst.append(index[target])
-                    neg_w.append(weight)
+            col += map(index.__getitem__, positives)
+            wgt += positives.values()
+            if negatives:
+                neg_src += [i] * len(negatives)
+                neg_dst += map(index.__getitem__, negatives)
+                neg_w += negatives.values()
         return cls(
             ids=ids,
             indptr=indptr,
@@ -153,6 +161,53 @@ class TrustMatrix:
             neg_dst=np.asarray(neg_dst, dtype=np.int64),
             neg_weights=np.asarray(neg_w, dtype=np.float64),
         )
+
+    def spliced(self, graph: "TrustGraph", node: str) -> "TrustMatrix":
+        """A copy of the pack with *node*'s row re-read from *graph* and
+        the nodes *graph* has gained appended as empty rows.
+
+        The pack must be a :meth:`from_graph` pack of *graph* (or a
+        splice of one) from before a write that changed only *node*'s
+        statements and added nodes.  The copy then equals
+        ``TrustMatrix.from_graph(graph)`` array for array: an overwritten
+        statement keeps its dict position in the re-read row, the
+        negative slice stays grouped by ascending source so *node*'s
+        group is one ``searchsorted`` range, and new nodes follow
+        ``graph.nodes()`` order.  The python work is O(row); the numpy
+        work copies the positive arrays, and the negative slice only when
+        *node* has or had distrust statements.  ``ids`` and ``index`` are
+        shared with this pack unless *graph* gained nodes.
+        """
+        ids, index = self.ids, self.index
+        gained = len(graph) - len(ids)
+        if gained:
+            fresh = list(itertools.islice(graph.nodes(), len(ids), None))
+            index = dict(index)
+            index.update(zip(fresh, itertools.count(len(ids))))
+            ids = ids + fresh
+        i = index[node]
+        positives, negatives = _read_row(graph, node)
+        indptr = np.concatenate(
+            (self.indptr, np.full(gained, self.indptr[-1], dtype=np.int64))
+        )
+        lo, hi = int(indptr[i]), int(indptr[i + 1])
+        indptr[i + 1 :] += len(positives) - (hi - lo)
+        matrix = copy.copy(self)
+        matrix.ids, matrix.index, matrix.indptr = ids, index, indptr
+        matrix.edge_src, matrix.indices, matrix.weights = _splice_edges(
+            (self.edge_src, self.indices, self.weights), lo, hi, i, positives, index
+        )
+        start, stop = np.searchsorted(self.neg_src, (i, i + 1)).tolist()
+        if stop > start or negatives:
+            matrix.neg_src, matrix.neg_dst, matrix.neg_weights = _splice_edges(
+                (self.neg_src, self.neg_dst, self.neg_weights),
+                start,
+                stop,
+                i,
+                negatives,
+                index,
+            )
+        return matrix
 
     @classmethod
     def from_edges(
@@ -215,6 +270,49 @@ class TrustMatrix:
             neg_dst=dst_arr[negative],
             neg_weights=w_arr[negative],
         )
+
+
+def _read_row(
+    graph: "TrustGraph", node: str
+) -> tuple[Mapping[str, float], Mapping[str, float]]:
+    """*node*'s statements as packed: its positive ones in
+    ``positive_successors`` order, then its negative ones in statement
+    order, each mapping target to weight.
+
+    A weight ``> 0.0`` is positive, ``< 0.0`` negative, and ``0.0`` is in
+    neither.  :meth:`TrustMatrix.from_graph` and
+    :meth:`TrustMatrix.spliced` both read rows here, so a spliced row
+    is the row a fresh pack holds.
+    """
+    positives = graph.positive_successors(node)
+    statements = graph.successors(node)
+    if len(statements) == len(positives):  # all positive: the common row
+        return positives, {}
+    return positives, {
+        target: weight for target, weight in statements.items() if weight < 0.0
+    }
+
+
+def _splice_edges(
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    start: int,
+    stop: int,
+    source: int,
+    statements: Mapping[str, float],
+    index: Mapping[str, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of parallel ``(source, target, weight)`` edge arrays with
+    ``[start:stop]`` replaced by *source*'s *statements*, in their order."""
+    count = len(statements)
+    middle = (
+        np.full(count, source, dtype=np.int64),
+        np.fromiter(map(index.__getitem__, statements), dtype=np.int64, count=count),
+        np.fromiter(statements.values(), dtype=np.float64, count=count),
+    )
+    src, dst, weights = (
+        _splice(array, start, stop, part) for array, part in zip(arrays, middle)
+    )
+    return src, dst, weights
 
 
 def _row_positions(

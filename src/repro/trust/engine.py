@@ -44,10 +44,13 @@ __all__ = ["pack_graph", "rank_many"]
 def pack_graph(graph: TrustGraph) -> TrustMatrix:
     """*graph* as a :class:`~repro.perf.trustmatrix.TrustMatrix`.
 
-    The graph keeps its pack until its next mutation, so this packs only
-    on a miss; only a miss emits the ``trustmatrix.pack`` span (pack
-    cost attributable apart from the sweeps it amortizes over) and
-    counts in ``trust.matrix.packs``.
+    The graph packs on the first call only; only that call emits the
+    ``trustmatrix.pack`` span (pack cost attributable apart from the
+    sweeps it amortizes over) and counts in ``trust.matrix.packs``.
+    From then on each trust write replaces the held pack with a spliced
+    copy, under a ``trustmatrix.splice`` span and counted in
+    ``trust.matrix.splices``, so a graph is packed whole once in its
+    lifetime and this returns the pack of the graph as it stands.
     """
     return graph.packed(_pack)
 
@@ -76,10 +79,11 @@ def appleseed_on_matrix(
     With ``metric.max_depth`` set, the sweeps run on *source*'s horizon,
     sliced out of *matrix* by
     :func:`~repro.perf.trustmatrix.horizon_slice` under a
-    ``trustmatrix.horizon`` span, so bounded queries on an unchanged
-    graph share its one pack.  The caller holds the ``appleseed.compute``
-    span; this assembles the result exactly as the dict oracle shapes
-    it, zero-rank frontier entries included.
+    ``trustmatrix.horizon`` span, so bounded queries share the graph's
+    one pack, which trust writes splice rather than drop.  The caller
+    holds the ``appleseed.compute`` span; this assembles the result
+    exactly as the dict oracle shapes it, zero-rank frontier entries
+    included.
     """
     if metric.max_depth is not None:
         with get_tracer().span(

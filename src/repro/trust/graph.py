@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Optional
 
 from ..core.models import validate_score
+from ..obs import get_metrics, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.models import Dataset
@@ -41,7 +42,9 @@ class TrustGraph:
     One writer at a time, and no reader while it writes (DESIGN.md's
     concurrency contract): :meth:`edges` and :meth:`within_horizon`
     iterate the live adjacency dicts, and the memoized views below are
-    plain attributes that each mutator drops.
+    plain attributes that each mutator drops, except the packed matrix:
+    each mutator replaces a held pack with a spliced copy, so the graph
+    is packed whole once in its lifetime, not once per trust write.
     """
 
     def __init__(self) -> None:
@@ -54,9 +57,10 @@ class TrustGraph:
         # allocation in the python engine.  Edge mutations drop the
         # touched node's view.
         self._pos_succ: dict[str, dict[str, float]] = {}
-        # The packed CSR of the whole graph (see :meth:`packed`), kept
-        # until the next mutation: queries on an unchanged graph share
-        # one pack instead of repacking per call.
+        # The packed CSR of the whole graph (see :meth:`packed`), built
+        # on first use and then kept current: each mutation replaces it
+        # with a copy that splices in the written node's row, so queries
+        # share one pack across writes instead of repacking per write.
         self._packed: TrustMatrix | None = None
 
     # -- construction -----------------------------------------------------
@@ -66,13 +70,10 @@ class TrustGraph:
         if not node:
             raise ValueError("node identifier must be non-empty")
         if node not in self._succ:
-            self._insert_node(node)
-
-    def _insert_node(self, node: str) -> None:
-        """Add a node the graph lacks."""
-        self._succ[node] = {}
-        self._pos_succ.pop(node, None)
-        self._packed = None
+            self._succ[node] = {}
+            self._pos_succ.pop(node, None)
+            if self._packed is not None:
+                self._packed = self._spliced(self._packed, node)
 
     def add_edge(self, source: str, target: str, weight: float) -> None:
         """State ``t_source(target) = weight``; overwrites a prior statement."""
@@ -82,18 +83,43 @@ class TrustGraph:
             raise ValueError("node identifier must be non-empty")
         weight = validate_score(weight, "trust weight")
         if source not in self._succ:
-            self._insert_node(source)
+            self._succ[source] = {}
+            self._pos_succ.pop(source, None)
         if target not in self._succ:
-            self._insert_node(target)
+            self._succ[target] = {}
+            self._pos_succ.pop(target, None)
         self._succ[source][target] = weight
         self._pos_succ.pop(source, None)
-        self._packed = None
+        if self._packed is not None:
+            self._packed = self._spliced(self._packed, source)
 
     def remove_edge(self, source: str, target: str) -> None:
         """Retract a trust statement; missing edges raise :class:`KeyError`."""
         del self._succ[source][target]
         self._pos_succ.pop(source, None)
-        self._packed = None
+        if self._packed is not None:
+            self._packed = self._spliced(self._packed, source)
+
+    def _spliced(self, matrix: "TrustMatrix", node: str) -> "TrustMatrix":
+        """The held pack *matrix* after a write to *node*'s statements.
+
+        One write is one splice (:meth:`TrustMatrix.spliced
+        <repro.perf.trustmatrix.TrustMatrix.spliced>`), also when it adds
+        nodes: the splice appends every node the pack lacks.  It runs
+        after the mutator has dropped *node*'s positive view, so it reads
+        the fresh one, under a ``trustmatrix.splice`` span and counted in
+        ``trust.matrix.splices``.  A graph that holds no pack pays only
+        its mutators' ``is not None`` test.
+        """
+        with get_tracer().span(
+            "trustmatrix.splice",
+            node=node,
+            statements=len(self._succ[node]),
+            nodes=len(self._succ),
+        ):
+            matrix = matrix.spliced(self, node)
+        get_metrics().counter("trust.matrix.splices").inc()
+        return matrix
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset") -> "TrustGraph":
@@ -174,9 +200,10 @@ class TrustGraph:
     def packed(self, pack: Callable[["TrustGraph"], "TrustMatrix"]) -> "TrustMatrix":
         """The packed matrix of the graph as it stands.
 
-        *pack* builds it on the first call after a mutation; later calls
-        return the same read-only matrix until :meth:`add_node`,
-        :meth:`add_edge` or :meth:`remove_edge` drops it.
+        *pack* builds it on the first call; later calls return the same
+        read-only matrix until :meth:`add_node`, :meth:`add_edge` or
+        :meth:`remove_edge` replaces it with a spliced copy, which later
+        calls then return.  A matrix handed out is never changed.
         """
         matrix = self._packed
         if matrix is None:

@@ -3,11 +3,12 @@ and ``ProfileStore``.
 
 ``Dataset`` answers ``ratings_of`` / ``trust_of`` / ``raters_of`` from
 per-agent, per-source and per-product index dicts, and ``TrustGraph``
-keeps its packed ``TrustMatrix`` and its per-node positive views until
-the next mutation.  Both are
+keeps its per-node positive views until the next mutation and splices
+its packed ``TrustMatrix`` on every write.  Both are
 caches over the plain maps, so both are checked against a brute-force
 rebuild after every step of a random interleaving of the mutation paths
-the repository uses.  Bounded Appleseed slices its horizon out of that
+the repository uses, and the spliced pack also over sixty writes to a
+thousand-node graph.  Bounded Appleseed slices its horizon out of that
 cached pack, so the slice is checked the same way, against packing the
 ``within_horizon`` sub-graph.  ``ProfileStore`` keeps its packed
 ``ProfileMatrix`` across writes by splicing the written agent's row, so
@@ -17,6 +18,7 @@ it is checked against a fresh store's pack after every write.
 from __future__ import annotations
 
 import pickle
+import random
 from collections.abc import Iterable
 
 import numpy as np
@@ -28,11 +30,12 @@ from repro.core.models import Agent, Dataset, Product, Rating, TrustStatement
 from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import ProfileStore
 from repro.core.taxonomy import Taxonomy
+from repro.datasets import stream_trust_edges
 from repro.obs import MetricsRegistry, collecting
 from repro.perf.kernels import similarity_many
 from repro.perf.matrix import ProfileMatrix
 from repro.perf.trustmatrix import TrustMatrix, horizon_slice
-from repro.trust.engine import pack_graph
+from repro.trust.engine import pack_graph, rank_many
 from repro.trust.graph import TrustGraph
 
 _AGENTS = [f"http://index.example.org/a{i}" for i in range(5)]
@@ -238,20 +241,81 @@ def _mutate(graph: TrustGraph, step: tuple) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(steps=st.lists(_graph_steps, max_size=30))
 def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
+    """The graph packs once; each write splices the held pack into a copy
+    equal to a fresh pack and leaves the pack handed out before it as it
+    was."""
     graph = TrustGraph()
     graph.add_node(_NODES[0])
     with collecting(MetricsRegistry()) as registry:
         packs = registry.counter("trust.matrix.packs")
-        pack_graph(graph)
+        splices = registry.counter("trust.matrix.splices")
+        packed = pack_graph(graph)
         for step in steps:
-            before = packs.value
+            before, fresh = splices.value, TrustMatrix.from_graph(graph)
             changed = _mutate(graph, step)
+            _assert_same_matrix(packed, fresh)
             packed = pack_graph(graph)
             _assert_same_matrix(packed, TrustMatrix.from_graph(graph))
-            # Packs only on the first read after a mutation.
-            assert packs.value == before + (1 if changed else 0)
+            assert splices.value == before + (1 if changed else 0)
             assert pack_graph(graph) is packed
-            assert packs.value == before + (1 if changed else 0)
+            assert packs.value == 1
+
+
+def _rebuilt(graph: TrustGraph) -> TrustGraph:
+    """*graph* built fresh from its nodes and ``edges()``, in their order."""
+    fresh = TrustGraph()
+    for node in graph.nodes():
+        fresh.add_node(node)
+    for source, target, weight in graph.edges():
+        fresh.add_edge(source, target, weight)
+    return fresh
+
+
+def test_sixty_writes_to_a_thousand_node_graph_keep_pack_and_ranks_fresh():
+    """New edges, overwrites, removals, edges to and from brand-new nodes,
+    and a mid-row edge flipped positive -> negative -> zero -> positive:
+    after each write the held pack equals the pack of a graph built
+    fresh from the same statements, and so do the writer's ranks."""
+    graph = TrustGraph.from_edges(stream_trust_edges(1_000))
+    nodes = list(graph.nodes())
+    rng = random.Random(24)
+    flipper = next(node for node in nodes if graph.out_degree(node) >= 5)
+    row = list(graph.successors(flipper).items())
+    middle = next(target for target, weight in row[1:-1] if weight > 0.0)
+    flips = {10: -0.6, 25: 0.0, 40: 0.8}
+    registry = MetricsRegistry()
+    pack_graph(graph)
+    for step in range(60):
+        weight = round(rng.uniform(-1.0, 1.0), 3)
+        source = rng.choice(nodes)
+        statements = list(graph.successors(source))
+        with collecting(registry):
+            if step in flips:
+                source = flipper
+                graph.add_edge(flipper, middle, flips[step])
+            elif step % 4 == 0 or not statements:
+                target = rng.choice(nodes)
+                while target == source or target in statements:
+                    target = rng.choice(nodes)
+                graph.add_edge(source, target, weight)
+            elif step % 4 == 1:
+                graph.add_edge(source, rng.choice(statements), weight)
+            elif step % 4 == 2:
+                graph.remove_edge(source, rng.choice(statements))
+            elif step % 8 == 3:
+                graph.add_edge(source, f"fresh-{step}", weight)
+            else:
+                graph.add_edge(f"fresh-{step}", source, weight)
+                source = f"fresh-{step}"
+            held = pack_graph(graph)
+            ranks = rank_many(graph, [source])
+        fresh = _rebuilt(graph)
+        _assert_same_matrix(held, pack_graph(fresh))
+        assert ranks == rank_many(fresh, [source])
+    assert middle in graph.positive_successors(flipper)
+    assert len(graph) > len(nodes)
+    assert registry.counter("trust.matrix.packs").value == 0
+    assert registry.counter("trust.matrix.splices").value == 60
 
 
 @settings(max_examples=150, deadline=None)
