@@ -1,6 +1,6 @@
 """Trust-propagation scaling: Appleseed from 10^3 to 10^6 agents.
 
-Measures the packed-CSR numpy engine (:mod:`repro.trust.engine`) on
+Measures Appleseed's packed-CSR driver (``Appleseed._compute_packed``) on
 generator-streamed webs of trust (:func:`stream_trust_edges`) far past
 what the dict oracle can traverse interactively, and writes the
 trajectory to ``BENCH_trust_scale.json``:
@@ -29,7 +29,6 @@ from repro.datasets.generators import stream_trust_edges
 from repro.obs import Stopwatch
 from repro.perf.trustmatrix import TrustMatrix
 from repro.trust.appleseed import Appleseed
-from repro.trust.engine import appleseed_on_matrix
 from repro.trust.graph import TrustGraph
 
 SMOKE = os.environ.get("TRUST_SMOKE") == "1"
@@ -58,7 +57,7 @@ def _sweep_numpy(matrix: TrustMatrix, sources: list[str], metric: Appleseed):
     watch = Stopwatch()
     with watch:
         for source in sources:
-            results[source] = appleseed_on_matrix(matrix, source, 200.0, metric)
+            results[source] = metric._compute_packed(matrix, source, 200.0)
     return results, watch.elapsed_ms / len(sources)
 
 

@@ -37,8 +37,8 @@ from .trust.graph import TrustGraph
 from .web.crawler import DEFAULT_CATALOG_URI, DEFAULT_TAXONOMY_URI, Crawler
 from .web.faults import RetryPolicy
 from .web.network import SimulatedWeb, WebError
+from .web.replicator import harvest_weblogs
 from .web.storage import DocumentStore
-from .web.weblog import LinkMiner, weblog_uri
 
 __all__ = ["LocalAgent"]
 
@@ -57,10 +57,6 @@ class LocalAgent:
     formation, synthesis:
         Pipeline configuration, defaulting to the paper's published
         parameters.
-    mine_weblogs:
-        Also fetch and mine each replicated peer's weblog during
-        :meth:`sync` (needed for split-channel communities; harmless —
-        one cheap probe per peer — for merged-channel ones).
     retry:
         Opt into bounded retries with backoff for transient fetch
         failures; circuit breakers and stale-replica fallback come with
@@ -71,7 +67,6 @@ class LocalAgent:
     web: SimulatedWeb
     formation: NeighborhoodFormation = field(default_factory=NeighborhoodFormation)
     synthesis: SynthesisStrategy = field(default_factory=LinearBlend)
-    mine_weblogs: bool = True
     taxonomy_uri: str = DEFAULT_TAXONOMY_URI
     catalog_uri: str = DEFAULT_CATALOG_URI
     retry: RetryPolicy | None = None
@@ -102,9 +97,7 @@ class LocalAgent:
         if taxonomy is None:
             raise WebError(self.taxonomy_uri)
 
-        mined = 0
-        if self.mine_weblogs:
-            mined = self._mine_weblogs(dataset)
+        mined = harvest_weblogs(self._crawler, dataset).mined
 
         self._dataset = dataset
         self._taxonomy = taxonomy
@@ -124,35 +117,6 @@ class LocalAgent:
             "degraded": sum(1 for _ in self._crawler.store.degraded_uris()),
             "breaker_trips": self._crawler.breakers.trips,
         }
-
-    def _mine_weblogs(self, dataset: Dataset) -> int:
-        miner = LinkMiner(known_products=frozenset(dataset.products))
-        store = self._crawler.store
-        mined = 0
-        for agent_uri in sorted(dataset.agents):
-            log_uri = weblog_uri(agent_uri)
-            outcome = self._crawler.fetcher.fetch(log_uri)
-            if outcome.result is not None:
-                body = outcome.result.body
-                store.put(
-                    uri=log_uri,
-                    body=body,
-                    version=outcome.result.version,
-                    fetched_at=self._crawler.clock,
-                    kind="weblog",
-                )
-            else:
-                # Unreachable or missing: mine the stale replica if any.
-                stale = store.get(log_uri)
-                if stale is None:
-                    continue
-                if outcome.error != "missing":
-                    store.mark_degraded(log_uri)
-                body = stale.body
-            for rating in miner.mine(agent_uri, body):
-                dataset.add_rating(rating)
-                mined += 1
-        return mined
 
     # -- queries ------------------------------------------------------------------
 

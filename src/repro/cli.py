@@ -212,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "span-attributed BENCH_scale.json (schema repro-bench/1)",
     )
     bench.add_argument("--sizes", default=None, metavar="N,N,...",
-                       help="ascending community sizes (default: 100,200,400; "
-                            "--smoke: 60,120)")
+                       help="ascending community sizes (default: 100,200,400)")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--queries", type=int, default=5, metavar="N",
                        help="recommendation queries per size")
@@ -225,8 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the driver's JSONL span trace to FILE")
     bench.add_argument("--memory", action="store_true",
                        help="stamp per-span tracemalloc deltas into the trace")
-    bench.add_argument("--smoke", action="store_true",
-                       help="smoke sizes + smoke marker in the document")
 
     return parser
 
@@ -581,7 +578,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             queries=args.queries,
             trust_sources=args.sources,
-            smoke=args.smoke,
             memory=args.memory,
         )
     except ValueError as error:

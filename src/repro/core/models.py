@@ -28,7 +28,6 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
 
 __all__ = [
     "Agent",
@@ -194,25 +193,12 @@ class Dataset:
         self._trust_by_source: dict[str, dict[str, float]] = {}
         self._ratings_by_agent: dict[str, dict[str, float]] = {}
         self._raters_by_product: dict[str, dict[str, float]] = {}
-        self._publish_views()
+        self.trust = MappingProxyType(self._trust)
+        self.ratings = MappingProxyType(self._ratings)
         for statement in statements:
             self.add_trust(statement)
         for rating in ratings:
             self.add_rating(rating)
-
-    def _publish_views(self) -> None:
-        self.trust = MappingProxyType(self._trust)
-        self.ratings = MappingProxyType(self._ratings)
-
-    # The views do not pickle; the dicts behind them do.
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        del state["trust"], state["ratings"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._publish_views()
 
     # -- construction -----------------------------------------------------
 
@@ -369,29 +355,3 @@ class Dataset:
 
 #: What an index lookup falls back to for an agent or product with no entry.
 _NO_ENTRY: Mapping[str, float] = MappingProxyType({})
-
-
-def descriptor_index(products: Mapping[str, Product]) -> dict[str, set[str]]:
-    """Invert the descriptor assignment: topic identifier -> product ids.
-
-    Used by content-based recommendation (§3.4's "categories the user has
-    left untouched" scheme).
-    """
-    index: dict[str, set[str]] = {}
-    for product in products.values():
-        for topic in product.descriptors:
-            index.setdefault(topic, set()).add(product.identifier)
-    return index
-
-
-def implicit_rating(agent: str, product: str) -> Rating:
-    """Build the ``+1.0`` implicit rating the weblog miners of §4 produce."""
-    return Rating(agent=agent, product=product, value=1.0)
-
-
-def top_rated(
-    ratings: Mapping[str, float], limit: Optional[int] = None
-) -> list[tuple[str, float]]:
-    """Products sorted by descending rating (ties broken by identifier)."""
-    ordered = sorted(ratings.items(), key=lambda item: (-item[1], item[0]))
-    return ordered if limit is None else ordered[:limit]

@@ -105,10 +105,6 @@ class SyntheticCommunity:
     config: CommunityConfig
     cluster_products: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
-    def agents_in_cluster(self, cluster: int) -> list[str]:
-        """URIs of agents planted in *cluster*, sorted."""
-        return sorted(a for a, c in self.membership.items() if c == cluster)
-
 
 def _cluster_anchor_topics(
     taxonomy: Taxonomy, n_clusters: int, rng: random.Random

@@ -72,9 +72,9 @@ MEASUREMENT_FIELDS = ("wall_ms", "dominant_self_ms")
 _PHASE_SPAN = {phase: f"bench.{phase}" for phase in PHASES}
 
 
-def default_sizes(smoke: bool = False) -> tuple[int, ...]:
-    """The declared size ladder; ``smoke=True`` shrinks it to two rungs."""
-    return (60, 120) if smoke else (100, 200, 400)
+def default_sizes() -> tuple[int, ...]:
+    """The declared size ladder."""
+    return (100, 200, 400)
 
 
 def _dominant(phase_node: SpanNode) -> tuple[str, float, int]:
@@ -95,7 +95,6 @@ def run_bench(
     seed: int = 42,
     queries: int = 5,
     trust_sources: int = 8,
-    smoke: bool = False,
     memory: bool = False,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Run the build/query/trust ladder; returns ``(document, trace records)``.
@@ -106,7 +105,7 @@ def run_bench(
     ``mem_delta_kb`` attribution at a small tracemalloc cost).
     """
     if sizes is None:
-        sizes = default_sizes(smoke)
+        sizes = default_sizes()
     if not sizes or list(sizes) != sorted(set(sizes)):
         raise ValueError(f"sizes must be strictly ascending and non-empty: {sizes!r}")
     tracer = Tracer(memory=memory)
@@ -119,7 +118,7 @@ def run_bench(
                 _run_one_size(tracer, n_agents, seed, queries, trust_sources)
     records = tracer.records()
     document = _document_from_trace(
-        records, seed=seed, queries=queries, trust_sources=trust_sources, smoke=smoke
+        records, seed=seed, queries=queries, trust_sources=trust_sources
     )
     return document, records
 
@@ -167,7 +166,6 @@ def _document_from_trace(
     seed: int,
     queries: int,
     trust_sources: int,
-    smoke: bool,
 ) -> dict[str, Any]:
     """Fold the driver's span tree into one ``repro-bench/1`` document."""
     roots = build_tree(records)
@@ -194,7 +192,6 @@ def _document_from_trace(
         )
     return {
         "schema": BENCH_SCHEMA,
-        "smoke": smoke,
         "seed": seed,
         "queries": queries,
         "trust_sources": trust_sources,
@@ -215,9 +212,6 @@ def validate_bench(document: Any) -> list[str]:
         errors.append(
             f"schema {document.get('schema')!r} != expected {BENCH_SCHEMA!r}"
         )
-    for key in ("smoke",):
-        if not isinstance(document.get(key), bool):
-            errors.append(f"{key} must be a boolean, got {document.get(key)!r}")
     for key in ("seed", "queries", "trust_sources"):
         value = document.get(key)
         if not isinstance(value, int) or isinstance(value, bool):

@@ -10,6 +10,9 @@ web of trust + Appleseed, PageRank and Advogato kernels).
 These kernels are the one production path: every ``engine="auto"``
 switch runs them, and ``engine="python"`` selects the dict reference
 implementations they are tested against (:data:`repro.core.similarity.ENGINES`).
+The trust kernels run on :meth:`TrustGraph.packed
+<repro.trust.graph.TrustGraph.packed>`, driven by each trust metric's
+``_compute_packed`` method.
 """
 
 from __future__ import annotations

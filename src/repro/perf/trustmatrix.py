@@ -28,11 +28,11 @@ and are held to the same contract as :mod:`repro.perf.kernels`: the dict
 implementations are the oracle, agreement within 1e-9, discrete outputs
 (accepted sets, BFS orders) identical.  :func:`horizon_slice` cuts a
 bounded Appleseed's horizon out of the whole graph's pack, equal array
-for array to packing ``TrustGraph.within_horizon``'s sub-graph.  The
-drivers that run these kernels for the metrics live in
-:mod:`repro.trust.engine`; this module imports the trust package for
-typing only (``TYPE_CHECKING``), so the layering contract's
-``trust -> perf`` edge stays one-directional.
+for array to packing ``TrustGraph.within_horizon``'s sub-graph.  Each
+metric of :mod:`repro.trust` drives these kernels from its
+``_compute_packed`` method, beside its dict oracle; this module imports
+the trust package for typing only (``TYPE_CHECKING``), so the layering
+contract's ``trust -> perf`` edge stays one-directional.
 """
 
 from __future__ import annotations
@@ -124,13 +124,6 @@ class TrustMatrix:
         """The positive targets and weights of node *i* (array views)."""
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         return self.indices[lo:hi], self.weights[lo:hi]
-
-    def __getstate__(self) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for name in self.__slots__:
-            setattr(self, name, state[name])
 
     @classmethod
     def from_graph(cls, graph: "TrustGraph") -> "TrustMatrix":

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from ..core.similarity import check_engine, engine_path
 from ..obs import get_metrics, get_tracer
+from ..perf.trustmatrix import TrustMatrix, bfs_order_levels, level_capacities
 from .graph import TrustGraph
 from .maxflow import FlowNetwork
 
@@ -52,10 +53,6 @@ class AdvogatoResult:
     accepted: frozenset[str]
     capacities: dict[str, int]
     total_flow: int
-
-    def accepts(self, node: str) -> bool:
-        """Whether *node* was certified."""
-        return node in self.accepted
 
 
 class Advogato:
@@ -108,11 +105,9 @@ class Advogato:
             engine=resolved,
         ) as span:
             if resolved == "numpy":
-                from .engine import advogato_on_matrix, pack_graph  # deferred: sibling cycle
-
-                result = advogato_on_matrix(pack_graph(graph), seed, self)
+                result = self._compute_packed(graph.packed(), seed)
             else:
-                result = self._compute_traced(graph, seed)
+                result = self._compute_python(graph, seed)
         span.set("accepted", len(result.accepted))
         span.set("total_flow", result.total_flow)
         span.set("network_size", len(result.capacities))
@@ -122,8 +117,58 @@ class Advogato:
         metrics.counter("advogato.flow").inc(result.total_flow)
         return result
 
-    def _compute_traced(self, graph: TrustGraph, seed: str) -> AdvogatoResult:
-        """The node-splitting max-flow certification itself."""
+    def _compute_packed(self, matrix: TrustMatrix, seed: str) -> AdvogatoResult:
+        """One certification with vectorized levels and capacities.
+
+        BFS discovery order and level capacities come from the CSR kernels;
+        the flow network is then built in exactly the dict engine's
+        iteration order, so Dinic routes the same units over the same arcs
+        and the accepted set is *identical*, not merely close.
+        """
+        index = matrix.index[seed]
+        order, level = bfs_order_levels(matrix, index)
+        if self.explicit_capacities is not None:
+            sequence = [max(1, c) for c in self.explicit_capacities]
+            last = sequence[-1]
+            while len(sequence) <= int(level[order].max(initial=0)):
+                sequence.append(last)
+        else:
+            sequence = level_capacities(
+                matrix, order, level, self.target_size, self.MIN_DECAY
+            )
+        reached = order.tolist()
+        capacities = {matrix.ids[i]: sequence[int(level[i])] for i in reached}
+
+        network = FlowNetwork()
+        supersink = ("advogato", "supersink")
+        sink_arcs: dict[str, int] = {}
+        for node, capacity in capacities.items():
+            node_in = ("in", node)
+            if capacity > 1:
+                network.add_edge(node_in, ("out", node), capacity - 1)
+            else:
+                network.add_node(("out", node))
+            sink_arcs[node] = network.add_edge(node_in, supersink, 1)
+        in_horizon = level >= 0
+        for i in reached:
+            targets, _ = matrix.row(i)
+            node_out = ("out", matrix.ids[i])
+            for j in targets[in_horizon[targets]].tolist():
+                network.add_edge(node_out, ("in", matrix.ids[j]), FlowNetwork.INFINITY)
+
+        total_flow = network.max_flow(("in", seed), supersink)
+        accepted = frozenset(
+            node for node, arc in sink_arcs.items() if network.flow_on(arc) > 0
+        )
+        return AdvogatoResult(
+            seed=seed,
+            accepted=accepted,
+            capacities=capacities,
+            total_flow=total_flow,
+        )
+
+    def _compute_python(self, graph: TrustGraph, seed: str) -> AdvogatoResult:
+        """The node-splitting max-flow certification in dict loops, the oracle."""
         levels = graph.bfs_levels(seed)
         level_capacity = self._level_capacities(graph, levels)
         capacities = {node: level_capacity[level] for node, level in levels.items()}

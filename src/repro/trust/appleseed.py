@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from ..core.similarity import check_engine, engine_path
-from ..obs import NullSpan, Span, get_metrics, get_tracer
+from ..obs import get_metrics, get_tracer
+from ..perf.trustmatrix import (
+    TrustMatrix,
+    appleseed_spread,
+    distrust_discount,
+    horizon_slice,
+)
 from .graph import TrustGraph
 
 __all__ = ["Appleseed", "AppleseedResult"]
@@ -114,10 +120,10 @@ class Appleseed:
         ``np.bincount`` over the edges of the graph's packed
         :class:`~repro.perf.trustmatrix.TrustMatrix`, or of the
         ``max_depth`` horizon sliced out of it, and marks the neighbourhood
-        once after the loop; the graph keeps that pack until its next
-        mutation.  ``"python"`` runs the dict loops below,
-        the oracle.  Engines agree within 1e-9 (see
-        :mod:`repro.trust.engine`).
+        once after the loop (:meth:`_compute_packed`); trust writes
+        splice that pack rather than drop it.  ``"python"`` runs the dict
+        loops of :meth:`_compute_python`, the oracle.  Engines agree
+        within 1e-9 (see :mod:`repro.trust`).
     """
 
     def __init__(
@@ -163,47 +169,85 @@ class Appleseed:
         if source not in graph:
             raise KeyError(f"unknown source agent {source!r}")
         resolved = engine_path(self.engine, "trust.engine")
-        with self._span(source, resolved) as span:
-            if resolved == "numpy":
-                from .engine import appleseed_on_matrix, pack_graph  # deferred: sibling cycle
-
-                result = appleseed_on_matrix(
-                    pack_graph(graph), source, injection, self
-                )
-            else:
-                if self.max_depth is not None:
-                    graph = graph.within_horizon(source, self.max_depth)
-                result = self._compute_python(graph, source, injection)
-            self._record(span, result)
-        return result
-
-    def _span(self, source: str, path: str) -> Span | NullSpan:
-        """The ``appleseed.compute`` span of one computation on *path*."""
-        return get_tracer().span(
+        with get_tracer().span(
             "appleseed.compute",
             source=source,
             spreading_factor=self.spreading_factor,
             convergence_threshold=self.convergence_threshold,
-            engine=path,
-        )
-
-    def _record(self, span: Span | NullSpan, result: AppleseedResult) -> None:
-        """Convergence telemetry (§3.2: neighborhoods are *bounded and
-        auditable*): the sweep count and residual-energy series mirror
-        the result's own fields exactly, so a trace is evidence, not a
-        parallel bookkeeping that can drift.  Shared by both engines —
-        the vectorized path is held to the same evidence contract.
-        """
-        span.set("iterations", result.iterations)
-        span.set("converged", result.converged)
-        span.set("network_size", len(result.ranks))
-        span.set("residual_energy", result.history)
+            engine=resolved,
+        ) as span:
+            if resolved == "numpy":
+                result = self._compute_packed(graph.packed(), source, injection)
+            else:
+                if self.max_depth is not None:
+                    graph = graph.within_horizon(source, self.max_depth)
+                result = self._compute_python(graph, source, injection)
+            # Convergence telemetry (§3.2: neighborhoods are *bounded and
+            # auditable*): the sweep count and residual-energy series
+            # mirror the result's own fields exactly, so a trace is
+            # evidence, not a parallel bookkeeping that can drift.  Both
+            # engines are held to the same evidence contract.
+            span.set("iterations", result.iterations)
+            span.set("converged", result.converged)
+            span.set("network_size", len(result.ranks))
+            span.set("residual_energy", result.history)
         metrics = get_metrics()
         metrics.counter("appleseed.computations").inc()
         metrics.counter("appleseed.sweeps").inc(result.iterations)
         if not result.converged:
             metrics.counter("appleseed.iteration_cap_hits").inc()
         metrics.histogram("trust.neighborhood_size").observe(len(result.ranks))
+        return result
+
+    def _compute_packed(
+        self, matrix: TrustMatrix, source: str, injection: float
+    ) -> AppleseedResult:
+        """Run one Appleseed computation over the whole graph's pack.
+
+        With ``max_depth`` set, the sweeps run on *source*'s horizon,
+        sliced out of *matrix* by
+        :func:`~repro.perf.trustmatrix.horizon_slice` under a
+        ``trustmatrix.horizon`` span, so bounded queries share the graph's
+        one pack, which trust writes splice rather than drop.  The result
+        is assembled exactly as the dict oracle shapes it, zero-rank
+        frontier entries included.
+        """
+        if self.max_depth is not None:
+            with get_tracer().span(
+                "trustmatrix.horizon", max_depth=self.max_depth
+            ) as span:
+                matrix = horizon_slice(matrix, matrix.index[source], self.max_depth)
+                span.set("nodes", len(matrix))
+                span.set("positive_edges", matrix.nnz)
+        index = matrix.index[source]
+        rank, member, iterations, converged, history = appleseed_spread(
+            matrix,
+            index,
+            injection,
+            self.spreading_factor,
+            self.convergence_threshold,
+            self.max_iterations,
+            normalization=self.normalization,
+            backward_propagation=self.backward_propagation,
+        )
+        if self.distrust_mode == "one_step":
+            rank = distrust_discount(
+                matrix, index, rank, member, self.spreading_factor
+            )
+        values = rank.tolist()
+        ranks = {
+            matrix.ids[i]: values[i]
+            for i in member.nonzero()[0].tolist()
+            if i != index
+        }
+        return AppleseedResult(
+            source=source,
+            ranks=ranks,
+            iterations=iterations,
+            converged=converged,
+            injected=injection,
+            history=history,
+        )
 
     def _compute_python(
         self,

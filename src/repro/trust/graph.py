@@ -18,15 +18,15 @@ copies it out as a sub-graph for the dict oracle and the scalar metrics.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Optional
 
 from ..core.models import validate_score
 from ..obs import get_metrics, get_tracer
+from ..perf.trustmatrix import TrustMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.models import Dataset
-    from ..perf.trustmatrix import TrustMatrix
 
 __all__ = ["TrustGraph"]
 
@@ -100,7 +100,7 @@ class TrustGraph:
         if self._packed is not None:
             self._packed = self._spliced(self._packed, source)
 
-    def _spliced(self, matrix: "TrustMatrix", node: str) -> "TrustMatrix":
+    def _spliced(self, matrix: TrustMatrix, node: str) -> TrustMatrix:
         """The held pack *matrix* after a write to *node*'s statements.
 
         One write is one splice (:meth:`TrustMatrix.spliced
@@ -197,17 +197,25 @@ class TrustGraph:
             self._pos_succ[node] = view
         return view
 
-    def packed(self, pack: Callable[["TrustGraph"], "TrustMatrix"]) -> "TrustMatrix":
+    def packed(self) -> TrustMatrix:
         """The packed matrix of the graph as it stands.
 
-        *pack* builds it on the first call; later calls return the same
-        read-only matrix until :meth:`add_node`, :meth:`add_edge` or
-        :meth:`remove_edge` replaces it with a spliced copy, which later
-        calls then return.  A matrix handed out is never changed.
+        The first call packs the graph under a ``trustmatrix.pack`` span
+        (pack cost attributable apart from the computations it amortizes
+        over) and counts in ``trust.matrix.packs``.  Later calls return
+        the same read-only matrix until :meth:`add_node`,
+        :meth:`add_edge` or :meth:`remove_edge` replaces it with a
+        spliced copy, which later calls then return.  A matrix handed out
+        is never changed.
         """
         matrix = self._packed
         if matrix is None:
-            matrix = pack(self)
+            with get_tracer().span(
+                "trustmatrix.pack", nodes=len(self), edges=self.edge_count()
+            ) as span:
+                matrix = TrustMatrix.from_graph(self)
+                span.set("positive_edges", matrix.nnz)
+            get_metrics().counter("trust.matrix.packs").inc()
             self._packed = matrix
         return matrix
 

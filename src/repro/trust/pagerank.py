@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.similarity import check_engine, engine_path
+from ..perf.trustmatrix import TrustMatrix, pagerank_power
 from .graph import TrustGraph
 
 __all__ = ["PersonalizedPageRank", "PageRankResult"]
@@ -59,7 +60,7 @@ class PersonalizedPageRank:
         ``"auto"`` (default) runs the power iteration as scatter-adds
         over the graph's packed :class:`~repro.perf.trustmatrix.TrustMatrix`;
         ``"python"`` iterates adjacency lists, the oracle (agreement
-        within 1e-9, see :mod:`repro.trust.engine`).
+        within 1e-9, see :mod:`repro.trust`).
     """
 
     def __init__(
@@ -91,21 +92,27 @@ class PersonalizedPageRank:
         if source not in graph:
             raise KeyError(f"unknown source agent {source!r}")
         if engine_path(self.engine, "trust.engine") == "numpy":
-            from .engine import pack_graph, pagerank_on_matrix  # deferred: sibling cycle
+            return self._compute_packed(graph.packed(), source)
+        return self._compute_python(graph, source)
 
-            ranks, iterations, converged = pagerank_on_matrix(
-                pack_graph(graph),
-                source,
-                self.alpha,
-                self.tolerance,
-                self.max_iterations,
-            )
-            return PageRankResult(
-                source=source,
-                ranks=ranks,
-                iterations=iterations,
-                converged=converged,
-            )
+    def _compute_packed(self, matrix: TrustMatrix, source: str) -> PageRankResult:
+        """The power iteration as scatter-adds over the packed CSR."""
+        index = matrix.index[source]
+        rank, iterations, converged = pagerank_power(
+            matrix, index, self.alpha, self.tolerance, self.max_iterations
+        )
+        values = rank.tolist()
+        ranks = {
+            matrix.ids[i]: values[i]
+            for i in rank.nonzero()[0].tolist()
+            if i != index
+        }
+        return PageRankResult(
+            source=source, ranks=ranks, iterations=iterations, converged=converged
+        )
+
+    def _compute_python(self, graph: TrustGraph, source: str) -> PageRankResult:
+        """The power iteration over adjacency lists, the oracle."""
         nodes = sorted(graph.reachable_from(source))
         index = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)

@@ -335,12 +335,6 @@ class CircuitBreakerRegistry:
             self.trips += 1
             get_metrics().counter("breaker.trips").inc()
 
-    def open_sites(self) -> tuple[str, ...]:
-        """Sites whose breaker is currently open or half-open."""
-        return tuple(
-            sorted(site for site, state in self._states.items() if state != "closed")
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class FetchOutcome:

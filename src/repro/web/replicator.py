@@ -34,7 +34,12 @@ from .network import SimulatedWeb, WebError
 from .storage import DocumentStore
 from .weblog import LinkMiner, publish_weblogs, weblog_uri
 
-__all__ = ["CommunityReplicator", "ReplicationReport", "publish_split_community"]
+__all__ = [
+    "CommunityReplicator",
+    "ReplicationReport",
+    "harvest_weblogs",
+    "publish_split_community",
+]
 
 
 def publish_split_community(
@@ -119,6 +124,68 @@ def _phase(
     trips.append((name, tripped))
 
 
+class WeblogHarvest:
+    """Mutable accumulator for one :func:`harvest_weblogs` pass."""
+
+    def __init__(self) -> None:
+        self.fetches = 0
+        self.missing: list[str] = []
+        self.unreachable: list[str] = []
+        self.degraded: list[str] = []
+        self.retries = 0
+        self.transient_failures = 0
+        self.backoff_ticks = 0
+        self.mined = 0
+        self.unmapped = 0
+
+
+def harvest_weblogs(crawler: Crawler, dataset: Dataset) -> WeblogHarvest:
+    """Fetch and mine the weblog of every agent in *dataset*, in URI order.
+
+    Each mined rating is added to *dataset*; each fetched weblog is
+    stored in ``crawler.store``.  A missing weblog (404) contributes
+    nothing, even when an earlier pass replicated it.  An unreachable one
+    is mined from its stale replica when there is one, which is then
+    marked degraded, so transient weblog outages don't drop known
+    ratings.
+    """
+    miner = LinkMiner(known_products=frozenset(dataset.products))
+    store = crawler.store
+    harvest = WeblogHarvest()
+    for agent_uri in sorted(dataset.agents):
+        log_uri = weblog_uri(agent_uri)
+        outcome = crawler.fetcher.fetch(log_uri)
+        harvest.retries += outcome.retries
+        harvest.transient_failures += outcome.transient_failures
+        harvest.backoff_ticks += outcome.backoff_ticks
+        if outcome.result is not None:
+            harvest.fetches += outcome.cost
+            body = outcome.result.body
+            store.put(
+                uri=log_uri,
+                body=body,
+                version=outcome.result.version,
+                fetched_at=crawler.clock,
+                kind="weblog",
+            )
+        elif outcome.error == "missing":
+            harvest.missing.append(log_uri)
+            continue
+        else:
+            harvest.unreachable.append(log_uri)
+            stale = store.get(log_uri)
+            if stale is None:
+                continue
+            store.mark_degraded(log_uri)
+            harvest.degraded.append(log_uri)
+            body = stale.body
+        for rating in miner.mine(agent_uri, body):
+            dataset.add_rating(rating)
+            harvest.mined += 1
+    harvest.unmapped = len(miner.unmapped)
+    return harvest
+
+
 @dataclass
 class CommunityReplicator:
     """Crawl homepages + mine weblogs into one recommendable dataset.
@@ -166,84 +233,44 @@ class CommunityReplicator:
                 if taxonomy is None:
                     raise WebError(taxonomy_uri)
 
-            miner = LinkMiner(known_products=frozenset(dataset.products))
-            weblog_fetches = 0
-            weblogs_missing: list[str] = []
-            weblog_unreachable: list[str] = []
-            weblog_degraded: list[str] = []
-            retries = 0
-            transients = 0
-            backoff = 0
-            mined = 0
             with _phase("weblogs", crawler, durations, phase_trips):
-                for agent_uri in sorted(dataset.agents):
-                    log_uri = weblog_uri(agent_uri)
-                    outcome = crawler.fetcher.fetch(log_uri)
-                    retries += outcome.retries
-                    transients += outcome.transient_failures
-                    backoff += outcome.backoff_ticks
-                    if outcome.result is not None:
-                        weblog_fetches += outcome.cost
-                        body = outcome.result.body
-                        self.store.put(
-                            uri=log_uri,
-                            body=body,
-                            version=outcome.result.version,
-                            fetched_at=crawler.clock,
-                            kind="weblog",
-                        )
-                    elif outcome.error == "missing":
-                        weblogs_missing.append(log_uri)
-                        continue
-                    else:
-                        # Unreachable: mine the stale replica when we have
-                        # one, so transient weblog outages don't drop known
-                        # ratings.
-                        weblog_unreachable.append(log_uri)
-                        stale = self.store.get(log_uri)
-                        if stale is None:
-                            continue
-                        self.store.mark_degraded(log_uri)
-                        weblog_degraded.append(log_uri)
-                        body = stale.body
-                    for rating in miner.mine(agent_uri, body):
-                        dataset.add_rating(rating)
-                        mined += 1
+                weblogs = harvest_weblogs(crawler, dataset)
             span.set("agents", len(dataset.agents))
-            span.set("mined_ratings", mined)
+            span.set("mined_ratings", weblogs.mined)
             metrics = get_metrics()
             metrics.counter("replicate.passes").inc()
-            metrics.counter("replicate.mined_ratings").inc(mined)
+            metrics.counter("replicate.mined_ratings").inc(weblogs.mined)
 
         passes = (globals_report, crawl_report)
         report = ReplicationReport(
             homepage_fetches=crawl_report.fetched,
-            weblog_fetches=weblog_fetches,
-            weblogs_missing=tuple(weblogs_missing),
+            weblog_fetches=weblogs.fetches,
+            weblogs_missing=tuple(weblogs.missing),
             parse_failures=tuple(
                 sorted(set(crawl_report.parse_failures) | set(assembly_failures))
             ),
-            mined_ratings=mined,
-            unmapped_links=len(miner.unmapped),
+            mined_ratings=weblogs.mined,
+            unmapped_links=weblogs.unmapped,
             budget_exhausted=crawl_report.budget_exhausted,
             unreachable=tuple(
                 sorted(
                     {uri for p in passes for uri in p.unreachable}
-                    | set(weblog_unreachable)
+                    | set(weblogs.unreachable)
                 )
             ),
             degraded=tuple(
                 sorted(
                     {uri for p in passes for uri in p.degraded}
-                    | set(weblog_degraded)
+                    | set(weblogs.degraded)
                 )
             ),
             quarantined=tuple(
                 sorted({uri for p in passes for uri in p.quarantined})
             ),
-            retries=sum(p.retries for p in passes) + retries,
-            transient_failures=sum(p.transient_failures for p in passes) + transients,
-            backoff_ticks=sum(p.backoff_ticks for p in passes) + backoff,
+            retries=sum(p.retries for p in passes) + weblogs.retries,
+            transient_failures=sum(p.transient_failures for p in passes)
+            + weblogs.transient_failures,
+            backoff_ticks=sum(p.backoff_ticks for p in passes) + weblogs.backoff_ticks,
             breaker_trips=crawler.breakers.trips,
             breaker_short_circuits=crawler.breakers.short_circuits,
             phase_durations=tuple(durations),

@@ -131,10 +131,3 @@ class TestSplitChannel:
         # Ratings are recoverable despite rating-free homepages.
         assert len(agent.replica.ratings) > 0
         assert agent.recommendations(limit=5)
-
-    def test_weblog_mining_can_be_disabled(self, split_world):
-        web, community = split_world
-        agent = LocalAgent(uri=_seed_uri(community), web=web, mine_weblogs=False)
-        stats = agent.sync()
-        assert stats["mined_weblog_ratings"] == 0
-        assert len(agent.replica.ratings) == 0

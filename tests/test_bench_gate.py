@@ -22,7 +22,6 @@ def document(scale=1.0, sizes=(100, 400)):
     }
     return {
         "schema": BENCH_SCHEMA,
-        "smoke": False,
         "seed": 42,
         "queries": 5,
         "trust_sources": 8,

@@ -13,9 +13,6 @@ from repro.core.models import (
     Rating,
     TrustStatement,
     clamp_score,
-    descriptor_index,
-    implicit_rating,
-    top_rated,
     validate_score,
 )
 from repro.core.similarity import isclose
@@ -122,10 +119,6 @@ class TestRating:
     def test_zero_not_positive(self):
         assert not Rating(agent="a", product="p", value=0.0).is_positive
 
-    def test_implicit_rating_helper(self):
-        rating = implicit_rating("a", "isbn:1")
-        assert rating.value == 1.0
-
 
 class TestDataset:
     def test_add_agent_conflict_rejected(self):
@@ -218,17 +211,3 @@ class TestDataset:
         assert all(key[0] in {alice, bob} for key in subset.ratings)
         subset.validate()
 
-
-class TestHelpers:
-    def test_descriptor_index(self, tiny_dataset):
-        index = descriptor_index(tiny_dataset.products)
-        assert index["Algebra"] == {"isbn:1", "isbn:5"}
-        assert index["Literature"] == {"isbn:4"}
-
-    def test_top_rated_ordering(self):
-        ratings = {"b": 0.5, "a": 1.0, "c": 0.5}
-        assert top_rated(ratings) == [("a", 1.0), ("b", 0.5), ("c", 0.5)]
-
-    def test_top_rated_limit(self):
-        ratings = {"a": 1.0, "b": 0.9, "c": 0.8}
-        assert top_rated(ratings, limit=2) == [("a", 1.0), ("b", 0.9)]

@@ -80,11 +80,6 @@ class TestGeneration:
             != generate_community(other).dataset.trust
         )
 
-    def test_agents_in_cluster(self, community):
-        members = community.agents_in_cluster(0)
-        assert members
-        assert all(community.membership[a] == 0 for a in members)
-
     def test_cluster_products_nonempty(self, community):
         assert all(community.cluster_products.values())
 

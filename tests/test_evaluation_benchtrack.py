@@ -25,7 +25,7 @@ SIZES = (24,)
 
 @pytest.fixture(scope="module")
 def bench_run():
-    return run_bench(sizes=SIZES, seed=7, queries=2, trust_sources=2, smoke=True)
+    return run_bench(sizes=SIZES, seed=7, queries=2, trust_sources=2)
 
 
 class TestDriver:
@@ -46,9 +46,7 @@ class TestDriver:
 
     def test_same_seed_runs_agree_modulo_measurements(self, bench_run):
         document_a, records_a = bench_run
-        document_b, records_b = run_bench(
-            sizes=SIZES, seed=7, queries=2, trust_sources=2, smoke=True
-        )
+        document_b, records_b = run_bench(sizes=SIZES, seed=7, queries=2, trust_sources=2)
         assert strip_durations(records_a) == strip_durations(records_b)
         projected_a = strip_bench_measurements(document_a)
         projected_b = strip_bench_measurements(document_b)
@@ -74,16 +72,14 @@ class TestDriver:
         with pytest.raises(ValueError, match="strictly ascending"):
             run_bench(sizes=sizes)
 
-    def test_default_sizes_follow_the_smoke_flag(self):
+    def test_default_sizes_are_the_baseline_ladder(self):
         assert default_sizes() == (100, 200, 400)
-        assert default_sizes(smoke=True) == (60, 120)
 
 
 class TestValidate:
     def _valid(self):
         return {
             "schema": BENCH_SCHEMA,
-            "smoke": True,
             "seed": 1,
             "queries": 2,
             "trust_sources": 2,

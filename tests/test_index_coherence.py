@@ -17,7 +17,6 @@ it is checked against a fresh store's pack after every write.
 
 from __future__ import annotations
 
-import pickle
 import random
 from collections.abc import Iterable
 
@@ -35,7 +34,7 @@ from repro.obs import MetricsRegistry, collecting
 from repro.perf.kernels import similarity_many
 from repro.perf.matrix import ProfileMatrix
 from repro.perf.trustmatrix import TrustMatrix, horizon_slice
-from repro.trust.engine import pack_graph, rank_many
+from repro.trust.engine import rank_many
 from repro.trust.graph import TrustGraph
 
 _AGENTS = [f"http://index.example.org/a{i}" for i in range(5)]
@@ -55,7 +54,6 @@ _dataset_steps = st.one_of(
     st.tuples(st.just("restrict"), st.frozensets(_agent)),
     st.tuples(st.just("construct")),
     st.tuples(st.just("copy")),
-    st.tuples(st.just("pickle")),
     st.tuples(st.just("edit_answer"), _agent),
 )
 
@@ -134,10 +132,6 @@ def _apply(dataset: Dataset, step: tuple, originals: list) -> Dataset:
         clone = dataset.copy()
         assert _contents(clone) == _contents(dataset)
         originals.append((dataset, _contents(dataset)))
-        return clone
-    elif kind == "pickle":
-        clone = pickle.loads(pickle.dumps(dataset))
-        assert clone == dataset
         return clone
     elif kind == "edit_answer":
         dataset.ratings_of(step[1])["isbn:edited"] = 1.0
@@ -240,7 +234,7 @@ def _mutate(graph: TrustGraph, step: tuple) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(steps=st.lists(_graph_steps, max_size=30))
-def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
+def test_packed_equals_a_fresh_pack_after_every_step(steps):
     """The graph packs once; each write splices the held pack into a copy
     equal to a fresh pack and leaves the pack handed out before it as it
     was."""
@@ -249,15 +243,15 @@ def test_pack_graph_equals_a_fresh_pack_after_every_step(steps):
     with collecting(MetricsRegistry()) as registry:
         packs = registry.counter("trust.matrix.packs")
         splices = registry.counter("trust.matrix.splices")
-        packed = pack_graph(graph)
+        packed = graph.packed()
         for step in steps:
             before, fresh = splices.value, TrustMatrix.from_graph(graph)
             changed = _mutate(graph, step)
             _assert_same_matrix(packed, fresh)
-            packed = pack_graph(graph)
+            packed = graph.packed()
             _assert_same_matrix(packed, TrustMatrix.from_graph(graph))
             assert splices.value == before + (1 if changed else 0)
-            assert pack_graph(graph) is packed
+            assert graph.packed() is packed
             assert packs.value == 1
 
 
@@ -284,7 +278,7 @@ def test_sixty_writes_to_a_thousand_node_graph_keep_pack_and_ranks_fresh():
     middle = next(target for target, weight in row[1:-1] if weight > 0.0)
     flips = {10: -0.6, 25: 0.0, 40: 0.8}
     registry = MetricsRegistry()
-    pack_graph(graph)
+    graph.packed()
     for step in range(60):
         weight = round(rng.uniform(-1.0, 1.0), 3)
         source = rng.choice(nodes)
@@ -307,10 +301,10 @@ def test_sixty_writes_to_a_thousand_node_graph_keep_pack_and_ranks_fresh():
             else:
                 graph.add_edge(f"fresh-{step}", source, weight)
                 source = f"fresh-{step}"
-            held = pack_graph(graph)
+            held = graph.packed()
             ranks = rank_many(graph, [source])
         fresh = _rebuilt(graph)
-        _assert_same_matrix(held, pack_graph(fresh))
+        _assert_same_matrix(held, fresh.packed())
         assert ranks == rank_many(fresh, [source])
     assert middle in graph.positive_successors(flipper)
     assert len(graph) > len(nodes)
@@ -344,7 +338,7 @@ def test_horizon_slice_equals_a_packed_horizon_graph(nodes, edges, steps):
 
 
 def _assert_slices_match(graph: TrustGraph, depths: Iterable[int]) -> None:
-    packed = pack_graph(graph)
+    packed = graph.packed()
     for depth in depths:
         for source in graph.nodes():
             _assert_same_matrix(

@@ -68,7 +68,7 @@ class TestAppleseedTelemetry:
         assert registry.counter("appleseed.computations").value == len(sources)
 
         # A rank_many sweep leaves the same per-source evidence under one
-        # span, one engine selection and at most one pack.
+        # span, one engine selection per computation and at most one pack.
         with tracing() as tracer, collecting() as registry:
             swept = rank_many(graph, sources, metric=metric)
         assert swept == results
@@ -81,24 +81,24 @@ class TestAppleseedTelemetry:
             assert record["attrs"]["engine"] == "numpy"
             assert record["attrs"]["iterations"] == result.iterations
             assert record["attrs"]["network_size"] == len(result.ranks)
-        assert registry.counter("trust.engine.selected.numpy").value == 1
+        assert registry.counter("trust.engine.selected.numpy").value == len(sources)
         assert registry.counter("appleseed.computations").value == len(sources)
         assert registry.counter("appleseed.sweeps").value == sum(
             result.iterations for result in swept
         )
         assert registry.counter("trust.matrix.packs").value <= 1
 
-        # The oracle sweep counts its engine selection once too, with the
-        # per-source spans and results of one oracle computation each.
+        # The oracle sweep counts one engine selection per computation too,
+        # with the per-source spans and results of one oracle computation each.
         python = Appleseed(engine="python")
         expected = [python.compute(graph, source) for source in sources]
         with tracing() as tracer, collecting() as registry:
-            oracle = rank_many(graph, sources, metric=metric, engine="python")
+            oracle = rank_many(graph, sources, metric=python)
         assert oracle == expected
         computes = [r for r in tracer.records() if r["name"] == "appleseed.compute"]
         assert [r["attrs"]["source"] for r in computes] == sources
         assert all(r["attrs"]["engine"] == "python" for r in computes)
-        assert registry.counter("trust.engine.selected.python").value == 1
+        assert registry.counter("trust.engine.selected.python").value == len(sources)
         assert registry.counter("appleseed.computations").value == len(sources)
 
     def test_iteration_cap_hit_is_counted(self):

@@ -1,16 +1,20 @@
 """Meta-tests of the public API surface.
 
 These keep the package importable as documented: every name exported in
-an ``__all__`` must exist, the README quickstart must run, and the
-version string must match the package metadata convention.
+an ``__all__`` must exist, the README quickstart must run, the version
+string must match the package metadata convention, and DESIGN.md's module
+map must name every module there is and no module there is not.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+from pathlib import Path
 
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 PACKAGES = [
     "repro",
@@ -96,12 +100,45 @@ def test_experiment_functions_are_registered_in_cli():
 
 def test_every_experiment_has_a_document_section():
     """The EXPERIMENTS.md generator holds one section per registry id, no more."""
-    from pathlib import Path
-
     from repro.evaluation.registry import EXPERIMENTS
 
-    script = Path(__file__).resolve().parent.parent / "scripts" / "generate_experiments_md.py"
+    script = REPO_ROOT / "scripts" / "generate_experiments_md.py"
     spec = importlib.util.spec_from_file_location("generate_experiments_md", script)
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
     assert set(generator.SECTIONS) == set(EXPERIMENTS)
+
+
+def _design_module_map() -> set[str]:
+    """The module paths DESIGN.md §3 names, relative to ``src/repro``:
+    the files of its tree and the first cell of its additional-modules
+    table."""
+    text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("\n## 3.", 1)[1].split("\n## 4.", 1)[0]
+    tree, table = section.split("```")[1:3]
+    named: set[str] = set()
+    packages: list[str] = []
+    for line in tree.splitlines():
+        if not line.startswith("  "):
+            continue  # the fence's info string and the ``src/repro/`` root
+        depth = (len(line) - len(line.lstrip())) // 2 - 1
+        name = line.split()[0]
+        del packages[depth:]
+        if name.endswith("/"):
+            packages.append(name)
+        else:
+            named.add("".join(packages) + name)
+    for line in table.splitlines():
+        cell = line.split("|")[1].split() if line.startswith("| ") else []
+        if cell and cell[0].endswith(".py"):
+            named.add(cell[0])
+    return named
+
+
+def test_design_module_map_names_every_module():
+    source = REPO_ROOT / "src" / "repro"
+    files = {path.relative_to(source).as_posix() for path in source.rglob("*.py")}
+    modules = {path for path in files if not path.endswith("__init__.py")}
+    named = _design_module_map()
+    assert sorted(modules - named) == [], "modules missing from DESIGN.md §3"
+    assert sorted(named - files) == [], "DESIGN.md §3 names modules that do not exist"

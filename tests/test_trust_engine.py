@@ -21,7 +21,7 @@ from repro.core.profiles import TaxonomyProfileBuilder
 from repro.core.recommender import ProfileStore, PureCFRecommender, SemanticWebRecommender
 from repro.core.similarity import top_similar
 from repro.core.taxonomy import figure1_fragment
-from repro.obs import MetricsRegistry, collecting
+from repro.obs import MetricsRegistry, collecting, tracing
 from repro.trust.advogato import Advogato
 from repro.trust.appleseed import Appleseed
 from repro.trust.engine import rank_many
@@ -298,6 +298,18 @@ class TestRankMany:
                 graph, result.source
             )
             assert result == direct
+
+    def test_passed_metric_runs_on_its_own_engine(self):
+        """A sweep handed the oracle metric runs the oracle for every source,
+        whatever its ``engine`` argument says."""
+        graph = _dense_graph()
+        sources = sorted(graph.nodes())[:4]
+        oracle = Appleseed(engine="python")
+        with tracing() as tracer:
+            swept = rank_many(graph, sources, metric=oracle)
+        assert swept == [oracle.compute(graph, source) for source in sources]
+        computes = [r for r in tracer.records() if r["name"] == "appleseed.compute"]
+        assert [r["attrs"]["engine"] for r in computes] == ["python"] * len(sources)
 
     def test_unknown_source_rejected(self):
         graph = _dense_graph()

@@ -205,7 +205,6 @@ class TestCircuitBreaker:
         registry.record_success(site)
         assert registry.state(site) == "closed"
         assert registry.allow(site, now=9)
-        assert registry.open_sites() == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):
